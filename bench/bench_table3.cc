@@ -11,7 +11,7 @@
  *
  * Each cell is an anonymous EvsetBuild scenario executed through the
  * scenario runner, so the table shares its trial logic — and its
- * thread-count-independent determinism — with bench_matrix and the
+ * thread-count-independent determinism — with bench_suite and the
  * scenario regression tests.
  */
 

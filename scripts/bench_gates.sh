@@ -10,19 +10,25 @@
 #
 # With no gate names, every gate runs in order.  Gates:
 #   harness     bench_fig2 / bench_table4 1-vs-8-thread byte identity
-#   matrix      bench_matrix smoke: 1v8 identity, counters identity,
-#               bad-selection must-fail
+#   matrix      the scenarios suite + counters 1-vs-8 identity
 #   hotpath     bench_hotpath smoke vs BENCH_hotpath.json
 #   scalar-flip LLCF_SCALAR_TAGS=1 runs match the vectorized bytes
-#   e2e         bench_e2e smoke vs BENCH_e2e.json + 1v8 identity
+#   e2e         the e2e suite
 #   resume      campaign interrupt/resume byte identity (fork path)
 #   fullscale   reduced fleet vs BENCH_fullscale.json bands
-#   calib       bench_calib smoke vs BENCH_calib.json + 1v8 identity
-#   defense     bench_defense smoke vs BENCH_defense.json + 1v8
-#               identity + the kill-cell hard gate
-#   traffic     bench_traffic smoke vs BENCH_traffic.json + 1v8
-#               identity + the AES-nibble / starved-cell /
-#               rotation-epoch hard gates
+#   calib       the calib suite
+#   defense     the defense suite
+#   traffic     the traffic suite
+#   must-fail   runs the gates must reject: an empty or unknown
+#               selection, an off-suite cell, and one cell of each
+#               result type against a baseline with a gated rate
+#               flipped
+#
+# A suite gate runs bench_suite --suite=<suite> --smoke at 1 thread,
+# gated against the committed BENCH_<suite>.json when there is one
+# (every run also checks the cells' declared expectations: the kill
+# cell, the undefended floor, the AES nibbles, the starved cell, the
+# rotation epochs), then at 8 threads, and demands identical bytes.
 #
 # --twin mode runs the cross-build byte-identity check instead: two
 # build trees of the same commit (scalar and SIMD tag-scan kernels)
@@ -48,9 +54,9 @@ if [ "${1:-}" = "--twin" ]; then
     "$simd/bench_hotpath" --smoke \
         --json-out="$simd/BENCH_hotpath.json" > /dev/null
     cmp "$scalar/BENCH_hotpath.json" "$simd/BENCH_hotpath.json"
-    "$scalar/bench_matrix" --smoke --threads=8 \
+    "$scalar/bench_suite" --suite=scenarios --smoke --threads=8 \
         --json-out="$scalar/BENCH_scenarios.json" > /dev/null
-    "$simd/bench_matrix" --smoke --threads=8 \
+    "$simd/bench_suite" --suite=scenarios --smoke --threads=8 \
         --json-out="$simd/BENCH_scenarios.json" > /dev/null
     cmp "$scalar/BENCH_scenarios.json" "$simd/BENCH_scenarios.json"
     echo "twin gate: scalar and SIMD builds byte-identical"
@@ -64,7 +70,7 @@ shift
 gates=("$@")
 if [ ${#gates[@]} -eq 0 ]; then
     gates=(harness matrix hotpath scalar-flip e2e resume fullscale
-           calib defense traffic)
+           calib defense traffic must-fail)
 fi
 
 cd "$build" || fail "cannot enter build dir $build"
@@ -82,29 +88,32 @@ gate_harness() {
     cmp t4_t1.json t4_t8.json
 }
 
+gate_suite() {
+    local suite=$1
+    local gate=()
+    if [ -f "$repo_root/BENCH_$suite.json" ]; then
+        gate=(--baseline="$repo_root/BENCH_$suite.json")
+    fi
+    ./bench_suite --suite="$suite" --list
+    # Bands and declared expectations on the 1-thread run ...
+    ./bench_suite --suite="$suite" --smoke --threads=1 \
+        --json-out="BENCH_$suite.json" "${gate[@]}"
+    # ... and trial sharding must not change a byte.
+    ./bench_suite --suite="$suite" --smoke --threads=8 \
+        --json-out="${suite}_t8.json" > /dev/null
+    cmp "BENCH_$suite.json" "${suite}_t8.json"
+}
+
 gate_matrix() {
-    ./bench_matrix --list
-    ./bench_matrix --smoke --threads=1 --json-out=scen_t1.json
-    ./bench_matrix --smoke --threads=8 --json-out=scen_t8.json \
-        > /dev/null
-    cmp scen_t1.json scen_t8.json
-    cp scen_t1.json BENCH_scenarios.json
+    gate_suite scenarios
     # Counter metrics obey the same 1-vs-8-thread contract.
-    ./bench_matrix --smoke --counters --threads=1 \
+    ./bench_suite --suite=scenarios --smoke --counters --threads=1 \
         --scenario='build-bins-tiny-*' --json-out=scen_c1.json \
         > /dev/null
-    ./bench_matrix --smoke --counters --threads=8 \
+    ./bench_suite --suite=scenarios --smoke --counters --threads=8 \
         --scenario='build-bins-tiny-*' --json-out=scen_c8.json \
         > /dev/null
     cmp scen_c1.json scen_c8.json
-    # A selection that matches nothing must fail, not write an empty
-    # suite that looks like a passing run.
-    if ./bench_matrix --scenario=, --json-out=empty.json; then
-        fail "empty scenario selection unexpectedly succeeded"
-    fi
-    if ./bench_matrix --scenario=definitely-missing; then
-        fail "unknown scenario unexpectedly succeeded"
-    fi
 }
 
 gate_hotpath() {
@@ -117,41 +126,31 @@ gate_scalar_flip() {
     # simulated byte must match the vectorized runs.
     [ -f BENCH_hotpath.json ] || gate_hotpath
     [ -f BENCH_scenarios.json ] || \
-        ./bench_matrix --smoke --threads=8 \
+        ./bench_suite --suite=scenarios --smoke --threads=8 \
             --json-out=BENCH_scenarios.json > /dev/null
     LLCF_SCALAR_TAGS=1 ./bench_hotpath --smoke \
         --json-out=hotpath_scalar.json > /dev/null
     cmp BENCH_hotpath.json hotpath_scalar.json
-    LLCF_SCALAR_TAGS=1 ./bench_matrix --smoke --threads=8 \
-        --json-out=scen_scalar.json > /dev/null
+    LLCF_SCALAR_TAGS=1 ./bench_suite --suite=scenarios --smoke \
+        --threads=8 --json-out=scen_scalar.json > /dev/null
     cmp BENCH_scenarios.json scen_scalar.json
-}
-
-gate_e2e() {
-    ./bench_e2e --list
-    # Baseline tolerance gate on the 1-thread run ...
-    ./bench_e2e --smoke --threads=1 --json-out=BENCH_e2e.json \
-        --baseline="$repo_root/BENCH_e2e.json"
-    # ... and the fleet sharding must not change a byte.
-    ./bench_e2e --smoke --threads=8 --json-out=e2e_t8.json > /dev/null
-    cmp BENCH_e2e.json e2e_t8.json
 }
 
 gate_resume() {
     # A 66-victim forked fleet spans two shards.  Interrupt after the
     # first shard at 8 threads (exit code 3 by contract) ...
     rc=0
-    ./bench_e2e --scenario=campaign-fork-tiny-silent-96 \
+    ./bench_suite --suite=e2e --scenario=campaign-fork-tiny-silent-96 \
         --trials=66 --threads=8 --checkpoint=cp_resume.json \
         --stop-after-shards=1 || rc=$?
     [ "$rc" -eq 3 ] || fail "interrupt exit code $rc, expected 3"
     [ -f cp_resume.json ] || fail "no checkpoint written"
     # ... resume at 1 thread, and demand the same bytes as an
     # uninterrupted run at yet another thread count.
-    ./bench_e2e --scenario=campaign-fork-tiny-silent-96 \
+    ./bench_suite --suite=e2e --scenario=campaign-fork-tiny-silent-96 \
         --trials=66 --threads=1 --checkpoint=cp_resume.json \
         --resume --json-out=e2e_resumed.json > /dev/null
-    ./bench_e2e --scenario=campaign-fork-tiny-silent-96 \
+    ./bench_suite --suite=e2e --scenario=campaign-fork-tiny-silent-96 \
         --trials=66 --threads=8 --json-out=e2e_whole.json > /dev/null
     cmp e2e_resumed.json e2e_whole.json
 }
@@ -161,45 +160,68 @@ gate_fullscale() {
     # run of the 100k spec; its gate bands are per-victim rates and
     # cycle means, so a 200-victim fleet of the same spec must sit
     # inside them (as must the nightly true 10^5 fleet).
-    ./bench_e2e --full-scale --trials=200 --threads=8 \
+    ./bench_suite --suite=e2e --full-scale --trials=200 --threads=8 \
         --json-out=fullscale_ci.json \
         --baseline="$repo_root/BENCH_fullscale.json"
 }
 
-gate_calib() {
-    ./bench_calib --list
-    # Baseline accuracy/cost gate on the 1-thread run ...
-    ./bench_calib --smoke --threads=1 --json-out=BENCH_calib.json \
-        --baseline="$repo_root/BENCH_calib.json"
-    # ... and trial sharding must not change a byte.
-    ./bench_calib --smoke --threads=8 --json-out=calib_t8.json \
-        > /dev/null
-    cmp BENCH_calib.json calib_t8.json
+# Exit code of a command, with its output discarded.
+exit_code() {
+    local rc=0
+    "$@" > /dev/null 2>&1 || rc=$?
+    echo "$rc"
 }
 
-gate_defense() {
-    ./bench_defense --list
-    # Baseline gate (success rates, attack cost, kill-cell ceiling,
-    # undefended-baseline floor) on the 1-thread run ...
-    ./bench_defense --smoke --threads=1 --json-out=BENCH_defense.json \
-        --baseline="$repo_root/BENCH_defense.json"
-    # ... and trial sharding must not change a byte.
-    ./bench_defense --smoke --threads=8 --json-out=defense_t8.json \
-        > /dev/null
-    cmp BENCH_defense.json defense_t8.json
+# Succeeds iff the command exits 1 with a gate report "FAIL <$1>...".
+gate_rejects() {
+    local want=$1 rc=0
+    shift
+    "$@" > rejected.log 2>&1 || rc=$?
+    [ "$rc" -eq 1 ] && grep -q "^FAIL $want" rejected.log
 }
 
-gate_traffic() {
-    ./bench_traffic --list
-    # Baseline gate (success rates, attack cost, the AES nibble
-    # floor, the starved-cell explicit miss, the rotation epoch
-    # count) on the 1-thread run ...
-    ./bench_traffic --smoke --threads=1 --json-out=BENCH_traffic.json \
-        --baseline="$repo_root/BENCH_traffic.json"
-    # ... and trial sharding must not change a byte.
-    ./bench_traffic --smoke --threads=8 --json-out=traffic_t8.json \
-        > /dev/null
-    cmp BENCH_traffic.json traffic_t8.json
+# Write flipped_<suite>.json: the committed baseline with one gated
+# rate of one cell flipped (0 <-> 1).
+flip_baseline() {
+    python3 - "$repo_root/BENCH_$1.json" "$2" "$3" \
+        > "flipped_$1.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+node = next(b for b in doc["benchmarks"] if b["name"] == sys.argv[2])
+*path, leaf = sys.argv[3].split("/")
+for key in path:
+    node = node[key]
+node[leaf] = 1 - node[leaf]
+json.dump(doc, sys.stdout)
+PY
+}
+
+gate_must_fail() {
+    # A selection that matches nothing must fail, not write an empty
+    # suite that looks like a passing run.
+    [ "$(exit_code ./bench_suite --suite=scenarios --scenario=, \
+        --json-out=empty.json)" -ne 0 ] ||
+        fail "empty scenario selection unexpectedly succeeded"
+    [ "$(exit_code ./bench_suite --suite=scenarios \
+        --scenario=definitely-missing)" -ne 0 ] ||
+        fail "unknown scenario unexpectedly succeeded"
+    [ "$(exit_code ./bench_suite --suite=calib \
+        --scenario=build-bins-tiny-lru-silent)" -eq 2 ] ||
+        fail "off-suite cell not rejected with exit 2"
+    # The band gates can fail, for both result types.
+    flip_baseline calib calib-tiny-lru-silent outcomes/calibrated/rate
+    gate_rejects calib-tiny-lru-silent/calibrated \
+        ./bench_suite --suite=calib --smoke \
+        --scenario=calib-tiny-lru-silent --json-out=flip_calib.json \
+        --baseline=flipped_calib.json ||
+        fail "calib band gate accepted a flipped rate"
+    flip_baseline e2e campaign-fork-tiny-silent-96 \
+        campaign/fleet_success_rate
+    gate_rejects campaign-fork-tiny-silent-96/fleet_success_rate \
+        ./bench_suite --suite=e2e --smoke \
+        --scenario=campaign-fork-tiny-silent-96 \
+        --json-out=flip_e2e.json --baseline=flipped_e2e.json ||
+        fail "e2e band gate accepted a flipped rate"
 }
 
 for gate in "${gates[@]}"; do
@@ -209,12 +231,13 @@ for gate in "${gates[@]}"; do
       matrix) gate_matrix ;;
       hotpath) gate_hotpath ;;
       scalar-flip) gate_scalar_flip ;;
-      e2e) gate_e2e ;;
+      e2e) gate_suite e2e ;;
       resume) gate_resume ;;
       fullscale) gate_fullscale ;;
-      calib) gate_calib ;;
-      defense) gate_defense ;;
-      traffic) gate_traffic ;;
+      calib) gate_suite calib ;;
+      defense) gate_suite defense ;;
+      traffic) gate_suite traffic ;;
+      must-fail) gate_must_fail ;;
       *) fail "unknown gate '$gate'" ;;
     esac
 done

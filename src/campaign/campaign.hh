@@ -114,8 +114,8 @@ struct CampaignResult
  */
 CampaignSummary summarizeCampaign(const CampaignAggregate &aggregate);
 
-/** Same derivation from an exact experiment aggregate (bench_matrix
- *  runs campaign scenarios through the plain harness). */
+/** Same derivation from an exact experiment aggregate (the
+ *  scenarios suite runs campaign cells through the plain harness). */
 CampaignSummary summarizeCampaign(const ExperimentResult &experiment);
 
 /** How a campaign run executes (fleet, workers, checkpointing). */
@@ -186,7 +186,7 @@ class KeyRecoveryCampaign
  * recovered-fraction / bit-error-rate samples, traces_collected and
  * the pc_* counters.  Dispatched by runScenarioTrial for
  * ScenarioStage::Campaign, so campaign scenarios also run under
- * bench_matrix --scenario=.
+ * bench_suite --suite=scenarios --scenario=.
  */
 void runCampaignVictimTrial(const ScenarioSpec &spec, TrialContext &ctx,
                             TrialRecorder &rec);

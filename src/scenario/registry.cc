@@ -1,5 +1,6 @@
 #include "registry.hh"
 
+#include <string>
 #include <utility>
 
 #include "common/log.hh"
@@ -64,7 +65,7 @@ campaignBase(const char *name, const char *description,
 
 /**
  * Calibration skeleton: Step-0-only scenarios measuring blind
- * topology recovery accuracy and cost (bench_calib's domain).
+ * topology recovery accuracy and cost (the calib suite).
  */
 ScenarioSpec
 calibBase(const char *name, const char *description,
@@ -89,6 +90,7 @@ makeBuiltins()
     using R = ReplKind;
     using A = PruneAlgo;
     using St = ScenarioStage;
+    using Ex = ScenarioExpectation;
     ScenarioRegistry reg;
 
     // ---- Eviction-set construction across hosts, policies, noise.
@@ -199,7 +201,7 @@ makeBuiltins()
     }
 
     // ---- Key-recovery campaigns: full-pipeline victim fleets
-    // (bench_e2e's domain; excluded from bench_matrix's default set).
+    // (the e2e suite; see scenarioSuite()).
     reg.add(campaignBase(
         "campaign-skl-lru-quiet-1",
         "Single-tenant anchor: one victim on a quiet Skylake-SP",
@@ -244,7 +246,7 @@ makeBuiltins()
         reg.add(s);
     }
     {
-        // The paper-scale tier (bench_e2e --full-scale): 10^5 forked
+        // The paper-scale tier (--suite=e2e --full-scale): 10^5 forked
         // victims off one warmed world, streaming aggregation keeping
         // per-metric memory O(1).  Far too large for the default
         // selection; CI gates a LLCF_TRIALS-reduced fleet against the
@@ -262,7 +264,7 @@ makeBuiltins()
         reg.add(s);
     }
 
-    // ---- Step-0 blind topology calibration (bench_calib's domain):
+    // ---- Step-0 blind topology calibration (the calib suite):
     // oracle-free recovery of W_LLC / W_SF / slices / uncertainty,
     // gated per field against the true config.  The oracle
     // counterparts of these cells are the build-*/campaign-*
@@ -304,8 +306,8 @@ makeBuiltins()
         reg.add(s);
     }
 
-    // ---- Defense axis (bench_defense's domain; excluded from
-    // bench_matrix's default set): the attacker pipeline vs host-side
+    // ---- Defense axis (the defense suite; any cell whose defense
+    // records metrics lands there): the attacker pipeline vs host-side
     // defenses.  Cell names use the "defense-<kind>-..." prefix so the
     // build-*/scan-*/e2e-* selections stay stage-pure.  Baseline
     // "none" cells set measure so the def_* series exists as a
@@ -330,6 +332,10 @@ makeBuiltins()
         s.trainTargetTraces = 6;
         s.trainNontargetTraces = 12;
         s.defense.measure = true;
+        s.expect = {Ex::Series::OutcomeRate, "target_correct",
+                    Ex::Cmp::AtLeast, 0.50,
+                    "the undefended attack itself is broken, so every "
+                    "defense result is meaningless"};
         reg.add(s);
     }
     {
@@ -496,7 +502,7 @@ makeBuiltins()
         // The kill cell: the re-key interval sits inside a single
         // eviction-set construction window, so cross-page congruence
         // dissolves mid-build and success collapses below 10%
-        // (bench_defense hard-gates that ceiling).
+        // (the declared expectation below pins that ceiling).
         ScenarioSpec s = base(
             "defense-rekey-fast-tiny-build",
             "Kill cell: re-keying inside the build window starves "
@@ -506,10 +512,13 @@ makeBuiltins()
         // Construction needs ~75 us of stable congruence and a 100 ms
         // budget lets it retry through occasional re-keys; a 10 us
         // interval leaves no window wide enough, so the trimmed 10 ms
-        // budget is spent failing (bench_defense gates succ < 10%).
+        // budget is spent failing (succ < 10%, declared below).
         s.evsetBudgetMs = 10.0;
         s.defense.kind = DefenseKind::KeyedRekey;
         s.defense.rekeyIntervalMs = 0.01;
+        s.expect = {Ex::Series::OutcomeRate, "success", Ex::Cmp::Below, 0.10,
+                    "the re-key interval no longer kills eviction-set "
+                    "construction"};
         reg.add(s);
     }
     {
@@ -616,8 +625,8 @@ makeBuiltins()
         reg.add(s);
     }
 
-    // ---- Traffic axis (bench_traffic's domain; excluded from the
-    // bench_matrix and bench_e2e default sets): open-loop arrival
+    // ---- Traffic axis (the traffic suite; any cell setting a
+    // traffic knob lands there): open-loop arrival
     // processes, the AES table-lookup victim family, co-tenant load,
     // key rotation and the adaptive scanner.  Cell names use the
     // "traffic-" prefix so the stage-pure selections stay stable.
@@ -670,6 +679,10 @@ makeBuiltins()
         s.victimFamily = VictimFamily::AesTable;
         s.victimArrival.kind = ArrivalKind::Poisson;
         s.victimArrival.ratePerSec = 200.0;
+        s.expect = {Ex::Series::MetricMean, "aes_nibbles_correct",
+                    Ex::Cmp::AtLeast, 1.0,
+                    "the AES line-granular extractor no longer "
+                    "recovers key material"};
         reg.add(s);
     }
     {
@@ -711,10 +724,14 @@ makeBuiltins()
         s.defaultTrials = 3;
         // Finding this victim takes ~190-260 ms of scanning at
         // 8 rps; the 150 ms budget forces the explicit scored miss
-        // the bench gate pins (degrade, never crash).
+        // the expectation pins (degrade, never crash).
         s.scanTimeoutSec = 0.15;
         s.victimArrival.kind = ArrivalKind::Poisson;
         s.victimArrival.ratePerSec = 8.0;
+        s.expect = {Ex::Series::OutcomeRate, "target_found", Ex::Cmp::AtMost,
+                    0.50,
+                    "the sparse victim must starve the scan into an explicit "
+                    "scored miss, not a success or a missing series"};
         reg.add(s);
     }
     {
@@ -741,7 +758,24 @@ makeBuiltins()
         s.scanTimeoutSec = 1.0;
         s.rotateKeys = 4;
         s.tracesPerVictim = 10; // spans three key epochs per victim
+        ScenarioSpec rotate = s;
+        s.expect = {Ex::Series::MetricMean, "traffic_epochs", Ex::Cmp::Above,
+                    1.0,
+                    "rotation never advanced; per-epoch scoring is untested"};
         reg.add(s);
+
+        // The keys-per-cycle-budget curve: the same fleet at Step-2
+        // budgets bracketing its ~15 ms scan (starved, tight, slack),
+        // each row reporting the epoch keys recovered in that time.
+        for (const unsigned ms : {5u, 20u, 1000u}) {
+            const std::string budget = std::to_string(ms) + " ms";
+            ScenarioSpec b = rotate;
+            b.name = "traffic-budget-" + std::to_string(ms) + "ms";
+            b.description = "Rotation campaign at a " + budget +
+                            " Step-2 budget (keys-per-cycle-budget curve)";
+            b.scanTimeoutSec = ms / 1e3;
+            reg.add(b);
+        }
     }
 
     return reg;

@@ -19,8 +19,8 @@ namespace llcf {
 
 /**
  * An ordered, name-unique collection of scenario specs.  Insertion
- * order is preserved — it determines bench_matrix's execution and
- * JSON output order.
+ * order is preserved — it determines every bench_suite run's
+ * execution and JSON output order.
  */
 class ScenarioRegistry
 {

@@ -145,6 +145,8 @@ runScanTrial(const ScenarioSpec &spec, TrialContext &ctx,
     rec.outcome("evsets_built", !bulk.evsets.empty());
     if (bulk.evsets.empty()) {
         maybeRecordDefense(spec, rig, rec, victim.get());
+        maybeRecordTraffic(spec, rec, *victim, load.get());
+        maybeRecordCounters(rig, rec);
         return;
     }
 
@@ -277,6 +279,90 @@ scenarioStageName(ScenarioStage stage)
         return "calibrate";
     }
     return "?";
+}
+
+const char *
+scenarioSuiteName(ScenarioSuite suite)
+{
+    switch (suite) {
+      case ScenarioSuite::Scenarios:
+        return "scenarios";
+      case ScenarioSuite::E2e:
+        return "e2e";
+      case ScenarioSuite::FullScale:
+        return "fullscale";
+      case ScenarioSuite::Calib:
+        return "calib";
+      case ScenarioSuite::Defense:
+        return "defense";
+      case ScenarioSuite::Traffic:
+        return "traffic";
+    }
+    return "?";
+}
+
+ScenarioSuite
+scenarioSuite(const ScenarioSpec &spec)
+{
+    if (spec.defense.recordsMetrics())
+        return ScenarioSuite::Defense;
+    if (spec.trafficDomain())
+        return ScenarioSuite::Traffic;
+    switch (spec.stage) {
+      case ScenarioStage::Campaign:
+        return spec.fullScaleOnly ? ScenarioSuite::FullScale
+                                  : ScenarioSuite::E2e;
+      case ScenarioStage::Calibrate:
+        return ScenarioSuite::Calib;
+      default:
+        return ScenarioSuite::Scenarios;
+    }
+}
+
+bool
+meetsExpectation(const ScenarioExpectation &expect,
+                 const JsonValue &entry, std::string *why)
+{
+    using Cmp = ScenarioExpectation::Cmp;
+    if (!expect.declared())
+        return true;
+    const bool rate = expect.kind == ScenarioExpectation::Series::OutcomeRate;
+    const JsonValue *v = rate ? entry.find("outcomes", expect.name, "rate")
+                              : entry.find("metrics", expect.name, "mean");
+    const std::string what = expect.name + (rate ? " rate" : " mean");
+    std::string msg;
+    if (!v || !v->isNumber()) {
+        msg = "no " + what + " recorded";
+    } else {
+        const double x = v->asNumber();
+        const double b = expect.bound;
+        bool ok = false;
+        const char *need = "";
+        switch (expect.cmp) {
+          case Cmp::Below:
+            ok = x < b;
+            need = " < ";
+            break;
+          case Cmp::AtMost:
+            ok = x <= b;
+            need = " <= ";
+            break;
+          case Cmp::AtLeast:
+            ok = x >= b;
+            need = " >= ";
+            break;
+          case Cmp::Above:
+            ok = x > b;
+            need = " > ";
+            break;
+        }
+        if (ok)
+            return true;
+        msg = what + " " + jsonNumber(x) + ", expected" + need + jsonNumber(b);
+    }
+    if (why)
+        *why = msg + " -- " + expect.reason;
+    return false;
 }
 
 const char *

@@ -48,6 +48,49 @@ enum class ScenarioStage
 /** Human-readable stage name. */
 const char *scenarioStageName(ScenarioStage stage);
 
+/**
+ * The bench suite a cell belongs to (bench_suite --suite=<name>).
+ * Derived from the spec by scenarioSuite(), never declared, so a new
+ * cell lands in exactly one suite and one committed baseline.
+ */
+enum class ScenarioSuite
+{
+    Scenarios, //!< the single-victim matrix (Steps 1-3, no axis set)
+    E2e,       //!< victim-fleet campaigns (BENCH_e2e.json)
+    FullScale, //!< fullScaleOnly campaigns (e2e under --full-scale)
+    Calib,     //!< Step-0 blind calibration (BENCH_calib.json)
+    Defense,   //!< any cell deploying or measuring a defense
+    Traffic,   //!< any cell setting a traffic-axis knob
+};
+
+/** The suite's JSON "bench" name, which --suite= also spells (the
+ *  fullscale tier is reached as --suite=e2e --full-scale). */
+const char *scenarioSuiteName(ScenarioSuite suite);
+
+/**
+ * A bound a cell declares on one of its own series: the regime it
+ * expects (the attack succeeds, the attack dies, or it degrades to an
+ * explicit scored miss).  bench_suite checks it on every run, with or
+ * without a baseline, so "defense wins" and "attack broken" can never
+ * look alike.  A missing series always fails.
+ */
+struct ScenarioExpectation
+{
+    /** Which aggregate the bound applies to. */
+    enum class Series { OutcomeRate, MetricMean };
+
+    /** The comparison the value must satisfy against the bound. */
+    enum class Cmp { Below, AtMost, AtLeast, Above };
+
+    Series kind = Series::OutcomeRate;
+    std::string name; //!< outcome/metric name; empty = none declared
+    Cmp cmp = Cmp::AtLeast;
+    double bound = 0.0;
+    std::string reason; //!< what a violation means, for the report
+
+    bool declared() const { return !name.empty(); }
+};
+
 /** Host selector, kept symbolic so specs stay declarative. */
 enum class ScenarioMachine { SkylakeSp, IceLakeSp, ScaledSkylake, TinyTest };
 
@@ -120,8 +163,8 @@ struct ScenarioSpec
      */
     bool forkVictims = false;
 
-    /** Exclude from default bench selections; run only under
-     *  --full-scale (or by explicit --scenario= name). */
+    /** Paper-scale campaign: belongs to the full-scale tier that
+     *  bench_suite --suite=e2e runs only under --full-scale. */
     bool fullScaleOnly = false;
 
     /** A victim's key counts as recovered iff the correct SF set was
@@ -155,10 +198,8 @@ struct ScenarioSpec
     /** Scanner uses UCB bandit budget allocation (Step 2). */
     bool adaptiveScan = false;
 
-    /** True iff any traffic-axis knob is set; such cells run under
-     *  bench_traffic and are excluded from the bench_matrix /
-     *  bench_e2e default selections so committed baselines keep
-     *  their bytes. */
+    /** True iff any traffic-axis knob is set; such cells belong to
+     *  the traffic suite (see scenarioSuite()). */
     bool
     trafficDomain() const
     {
@@ -194,6 +235,9 @@ struct ScenarioSpec
 
     std::size_t defaultTrials = 4; //!< trials when the caller passes 0
 
+    /** The cell's declared regime bound (none by default). */
+    ScenarioExpectation expect;
+
     /** Instantiate the host config (slices + shared policy applied). */
     MachineConfig machineConfig() const;
 
@@ -211,6 +255,22 @@ struct ScenarioSpec
     /** The Step-0 prober configuration this spec implies. */
     CalibrationConfig calibrationConfig() const;
 };
+
+/**
+ * The one suite @p spec belongs to: defense cells first, then
+ * traffic cells, then by stage (campaigns split by fullScaleOnly,
+ * calibrations, and the single-victim matrix for the rest).
+ */
+ScenarioSuite scenarioSuite(const ScenarioSpec &spec);
+
+/**
+ * Check @p entry -- the cell's "benchmarks" entry in a suite JSON
+ * document -- against @p expect.  True when nothing is declared or
+ * the bound holds; otherwise false, with the violation written to
+ * @p why.  A missing or null series fails.
+ */
+bool meetsExpectation(const ScenarioExpectation &expect,
+                      const JsonValue &entry, std::string *why);
 
 /**
  * One trial's world, rebuilt per trial from the spec and the trial's

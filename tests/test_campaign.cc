@@ -261,12 +261,12 @@ TEST(CampaignQuota, EndToEndSurvivesVictimExhaustion)
     EXPECT_EQ(victim.remainingQuota(), 0u);
 }
 
-// ------------------------------------ harness-dispatch (bench_matrix)
+// ------------------------- harness-dispatch (--suite=scenarios)
 
 TEST(CampaignDispatch, RunsAsScenarioStage)
 {
     // Stage::Campaign dispatches through runScenarioTrial, so the
-    // scenario harness (and bench_matrix --scenario=campaign-*) can
+    // scenario harness (and --suite=scenarios --scenario=campaign-*) can
     // drive a single fleet member and record the campaign metrics.
     const ScenarioSpec &spec =
         campaignSpec("campaign-tiny-quota-mixed-4");

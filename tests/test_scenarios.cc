@@ -4,12 +4,15 @@
  * machine x policy x noise x stage matrix, spec resolution, selection
  * syntax, statistical regression bands for the anchor scenarios
  * (fixed seeds, tolerance-banded success rates and cycle quantiles),
- * and the load-bearing determinism property — byte-identical suite
- * JSON for 1 vs 8 harness threads.
+ * the load-bearing determinism property — byte-identical suite JSON
+ * for 1 vs 8 harness threads — suite membership, and the declared
+ * per-cell expectations bench_suite checks on every run.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <string>
 
@@ -243,6 +246,115 @@ TEST(ScenarioDeterminism, RepeatedRunsAreBitIdentical)
     a.add(runScenario(*spec, 3, 2, 99));
     b.add(runScenario(*spec, 3, 3, 99));
     EXPECT_EQ(a.toJson(), b.toJson());
+}
+
+// --------------------------------------------- counters on failure
+
+TEST(ScenarioCounters, RecordedWhenTheBulkBuildFails)
+{
+    // The way partition starves the scan cell's bulk build (0 sets
+    // on both smoke trials); its trials must still report pc_*.
+    const ScenarioSpec *spec =
+        builtinScenarios().find("defense-waypart-tiny-scan");
+    ASSERT_NE(spec, nullptr);
+    setenv("LLCF_COUNTERS", "1", 1);
+    ExperimentResult res = runScenario(*spec, 2, 0, 42);
+    unsetenv("LLCF_COUNTERS");
+
+    const SuccessRate *built = res.outcome("evsets_built");
+    ASSERT_NE(built, nullptr);
+    EXPECT_EQ(built->successes(), 0u);
+    const SampleStats *pc = res.metric("pc_accesses");
+    ASSERT_NE(pc, nullptr);
+    EXPECT_EQ(pc->count(), 2u);
+}
+
+// ----------------------------------------------- suites and bounds
+
+TEST(ScenarioSuites, EveryCellHasOneSuite)
+{
+    const ScenarioRegistry &reg = builtinScenarios();
+    EXPECT_EQ(scenarioSuite(*reg.find("build-bins-tiny-lru-silent")),
+              ScenarioSuite::Scenarios);
+    EXPECT_EQ(scenarioSuite(*reg.find("campaign-fork-tiny-silent-96")),
+              ScenarioSuite::E2e);
+    EXPECT_EQ(scenarioSuite(*reg.find("campaign-fork-tiny-silent-100k")),
+              ScenarioSuite::FullScale);
+    EXPECT_EQ(scenarioSuite(*reg.find("calib-tiny-lru-silent")),
+              ScenarioSuite::Calib);
+    // Axis cells belong to their axis whatever their stage.
+    EXPECT_EQ(scenarioSuite(*reg.find("defense-rekey-fast-tiny-calib")),
+              ScenarioSuite::Defense);
+    EXPECT_EQ(scenarioSuite(*reg.find("defense-rekey-tiny-campaign-2")),
+              ScenarioSuite::Defense);
+    EXPECT_EQ(scenarioSuite(*reg.find("traffic-rotate-tiny-campaign-2")),
+              ScenarioSuite::Traffic);
+    EXPECT_EQ(scenarioSuite(*reg.find("traffic-budget-20ms")),
+              ScenarioSuite::Traffic);
+}
+
+/** A "benchmarks" entry carrying the expectation's series with
+ *  @p value (a JSON number or null), or no series when empty. */
+JsonValue
+fabricatedEntry(const ScenarioExpectation &e, const std::string &value)
+{
+    const bool rate = e.kind == ScenarioExpectation::Series::OutcomeRate;
+    char text[160] = "{}";
+    if (!value.empty()) {
+        std::snprintf(text, sizeof(text), R"({"%s": {"%s": {"%s": %s}}})",
+                      rate ? "outcomes" : "metrics", e.name.c_str(),
+                      rate ? "rate" : "mean", value.c_str());
+    }
+    JsonValue v;
+    EXPECT_TRUE(parseJson(text, v)) << text;
+    return v;
+}
+
+TEST(ScenarioExpectations, HardGatedCellsDeclareTheirBounds)
+{
+    // Each formerly hard-coded bench gate, with a value just inside
+    // and one just outside its bound (strictness included).
+    struct Case
+    {
+        const char *cell;
+        const char *inside;
+        const char *outside;
+    };
+    const Case cases[] = {
+        {"defense-rekey-fast-tiny-build", "0.0999", "0.1"},
+        {"defense-none-tiny-e2e", "0.5", "0.4999"},
+        {"traffic-aes-tiny-e2e", "1", "0.9999"},
+        {"traffic-sparse-tiny-scan", "0.5", "0.5001"},
+        {"traffic-rotate-tiny-campaign-2", "1.0001", "1"},
+    };
+    for (const Case &c : cases) {
+        const ScenarioSpec *spec = builtinScenarios().find(c.cell);
+        ASSERT_NE(spec, nullptr) << c.cell;
+        const ScenarioExpectation &e = spec->expect;
+        ASSERT_TRUE(e.declared()) << c.cell;
+        EXPECT_FALSE(e.reason.empty()) << c.cell;
+
+        std::string why;
+        auto meets = [&](const std::string &value) {
+            return meetsExpectation(e, fabricatedEntry(e, value), &why);
+        };
+        EXPECT_TRUE(meets(c.inside)) << c.cell << ": " << why;
+        EXPECT_FALSE(meets(c.outside)) << c.cell;
+        EXPECT_NE(why.find(e.reason), std::string::npos) << why;
+        EXPECT_FALSE(meets("")) << c.cell << ": a missing series must fail";
+        EXPECT_FALSE(meets("null")) << c.cell << ": an empty one must fail";
+    }
+}
+
+TEST(ScenarioExpectations, UndeclaredCellsAlwaysPass)
+{
+    const ScenarioSpec *spec =
+        builtinScenarios().find("build-bins-tiny-lru-silent");
+    ASSERT_NE(spec, nullptr);
+    EXPECT_FALSE(spec->expect.declared());
+    JsonValue empty;
+    ASSERT_TRUE(parseJson("{}", empty));
+    EXPECT_TRUE(meetsExpectation(spec->expect, empty, nullptr));
 }
 
 } // namespace
