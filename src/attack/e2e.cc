@@ -21,43 +21,20 @@ EndToEndAttack::EndToEndAttack(AttackSession &session, Victim &victim,
 E2EResult
 EndToEndAttack::run(const CandidatePool &pool)
 {
-    Machine &m = session_.machine();
+    return run(pool, scanRequestCount(victim_, params_.scanner));
+}
+
+E2EResult
+EndToEndAttack::run(const CandidatePool &pool, unsigned scan_requests)
+{
     E2EResult res;
-
-    // ---- Step 1: eviction sets for all SF sets at the target page
-    // offset (the attacker knows the library layout, Section 7.1).
-    Cycles t0 = m.now();
-    EvictionSetBuilder builder(session_, params_.algo,
-                               params_.useFilter);
-    BulkOutcome built = builder.buildAtLineIndex(
-        pool, victim_.targetLineIndex());
-    res.buildTime = m.now() - t0;
-    if (built.evsets.empty())
+    BulkOutcome built = buildEvictionSets(session_, params_, pool,
+                                          victim_.targetLineIndex(), res);
+    if (!res.evsetsBuilt)
         return res;
-    res.evsetsBuilt = true;
-
-    // ---- Step 2: identify the target SF set while triggering the
-    // victim.  Keep the victim serving requests across the scan.
-    t0 = m.now();
-    victim_.serveRequests(m.now(),
-                          scanRequestCount(victim_, params_.scanner));
-
-    TargetSetScanner scanner(session_, classifier_);
-    ScanResult scan = scanner.scan(built.evsets);
-    res.scanTime = m.now() - t0;
-    m.clearStreams();
-    if (!scan.found)
-        return res;
-    res.targetFound = true;
-    res.targetCorrect =
-        m.sharedSetOf(built.evsets[scan.evsetIndex].target) ==
-        m.sharedSetOf(victim_.targetLinePa());
-
-    // ---- Step 3: collect traces of fresh signings and extract the
-    // nonce bits from each.
-    t0 = m.now();
-    collectTraces(built.evsets[scan.evsetIndex], res);
-    res.extractTime = m.now() - t0;
+    const ScanResult scan = scanForTarget(built.evsets, scan_requests, res);
+    if (res.targetFound)
+        collectTraces(built.evsets[scan.evsetIndex], res);
     return res;
 }
 
@@ -70,11 +47,44 @@ EndToEndAttack::runFromScan(const BuiltEvictionSet &evset)
     res.targetFound = true;
     res.targetCorrect = m.sharedSetOf(evset.target) ==
                         m.sharedSetOf(victim_.targetLinePa());
-
-    const Cycles t0 = m.now();
     collectTraces(evset, res);
-    res.extractTime = m.now() - t0;
     return res;
+}
+
+BulkOutcome
+EndToEndAttack::buildEvictionSets(AttackSession &session,
+                                  const E2EParams &params,
+                                  const CandidatePool &pool,
+                                  unsigned line_index, E2EResult &res)
+{
+    Machine &m = session.machine();
+    const Cycles t0 = m.now();
+    EvictionSetBuilder builder(session, params.algo, params.useFilter);
+    BulkOutcome built = builder.buildAtLineIndex(pool, line_index);
+    res.buildTime = m.now() - t0;
+    res.evsetsBuilt = !built.evsets.empty();
+    return built;
+}
+
+ScanResult
+EndToEndAttack::scanForTarget(const std::vector<BuiltEvictionSet> &evsets,
+                              unsigned requests, E2EResult &res)
+{
+    // Identify the target SF set while triggering the victim; the
+    // scheduled requests keep it serving across the scan.
+    Machine &m = session_.machine();
+    const Cycles t0 = m.now();
+    victim_.serveRequests(m.now(), requests);
+    TargetSetScanner scanner(session_, classifier_);
+    const ScanResult scan = scanner.scan(evsets);
+    res.scanTime = m.now() - t0;
+    m.clearStreams();
+    res.setsScanned = scan.setsScanned;
+    res.targetFound = scan.found;
+    res.targetCorrect =
+        scan.found && m.sharedSetOf(evsets[scan.evsetIndex].target) ==
+                          m.sharedSetOf(victim_.targetLinePa());
+    return scan;
 }
 
 void
@@ -82,6 +92,7 @@ EndToEndAttack::collectTraces(const BuiltEvictionSet &evset,
                               E2EResult &res)
 {
     Machine &m = session_.machine();
+    const Cycles t0 = m.now();
     // Monitoring extends slightly past the ladder so the closing
     // boundary fetch at ladderEnd is observable; the slack stays
     // below the minimum iteration duration, so no spurious boundary
@@ -137,6 +148,7 @@ EndToEndAttack::collectTraces(const BuiltEvictionSet &evset,
             res.aesNibblesCorrect += g.nibble == truth;
         }
     }
+    res.extractTime = m.now() - t0;
 }
 
 ExtractionScore

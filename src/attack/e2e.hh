@@ -42,6 +42,8 @@ struct E2EResult
     Cycles scanTime = 0;
     Cycles extractTime = 0;
 
+    unsigned setsScanned = 0; //!< Step 2: sets the scanner probed
+
     Cycles
     totalTime() const
     {
@@ -94,6 +96,15 @@ class EndToEndAttack
     E2EResult run(const CandidatePool &pool);
 
     /**
+     * Run Steps 1-3 with @p scan_requests victim requests keeping the
+     * victim signing across the Step-2 scan window (run(pool) sizes
+     * them with scanRequestCount).  Each step runs only when the
+     * previous one succeeded; with E2EParams::tracesPerVictim == 0
+     * the attack stops after Step 2.
+     */
+    E2EResult run(const CandidatePool &pool, unsigned scan_requests);
+
+    /**
      * Run Step 3 only, against an eviction set already identified by a
      * previous scan.  This is the forked-victim path of fleet
      * campaigns: when every victim in the fleet maps its target at the
@@ -106,6 +117,27 @@ class EndToEndAttack
     E2EResult runFromScan(const BuiltEvictionSet &evset);
 
     /**
+     * Step 1: eviction sets for every SF set at page line
+     * @p line_index (the attacker knows the library layout, Section
+     * 7.1).  Sets @p res's buildTime and evsetsBuilt.  Static because
+     * a fleet's forked warm-up builds before any victim exists.
+     */
+    static BulkOutcome buildEvictionSets(AttackSession &session,
+                                         const E2EParams &params,
+                                         const CandidatePool &pool,
+                                         unsigned line_index,
+                                         E2EResult &res);
+
+    /**
+     * Step 2: serve @p requests victim requests and scan @p evsets for
+     * the victim's target SF set.  Sets @p res's scanTime,
+     * setsScanned, targetFound and targetCorrect; the returned scan
+     * names the set found.
+     */
+    ScanResult scanForTarget(const std::vector<BuiltEvictionSet> &evsets,
+                             unsigned requests, E2EResult &res);
+
+    /**
      * Requests Step 2 schedules to keep @p victim signing across the
      * scan window, sized from the scanner timeout and the victim's
      * expected request duration.  Exposed so quota sizing (tests,
@@ -115,8 +147,8 @@ class EndToEndAttack
                                      const ScannerParams &scanner);
 
   private:
-    /** The Step-3 monitoring/extraction loop shared by both entry
-     *  points; accumulates traces into @p res. */
+    /** Step 3, the monitoring/extraction loop shared by both entry
+     *  points; accumulates traces and extractTime into @p res. */
     void collectTraces(const BuiltEvictionSet &evset, E2EResult &res);
 
     /** AES family: per-window line-touch prediction vs ground truth. */

@@ -19,125 +19,12 @@
 namespace llcf {
 namespace {
 
-/** Sub-streams of one victim trial's victim seed. */
-constexpr std::uint64_t kProductionVictim = 0;
-constexpr std::uint64_t kTrainingReplica = 1;
-
 /**
  * Stream index of the fork path's shared warmup world.  Deliberately
  * outside the trial range [0, fleet), so no victim trial shares
  * randomness with the warmup.
  */
 constexpr std::uint64_t kWorldStream = 0xFFFFFFFFFFFFFFFFull;
-
-/** The noise profile victim @p v of the fleet runs under. */
-const std::string &
-fleetNoiseFor(const ScenarioSpec &spec, std::size_t v)
-{
-    if (spec.fleetNoises.empty())
-        return spec.noise;
-    return spec.fleetNoises[v % spec.fleetNoises.size()];
-}
-
-/** Victim @p v's target page-line index inside its binary. */
-unsigned
-fleetLineIndexFor(const ScenarioSpec &spec, std::size_t v)
-{
-    return static_cast<unsigned>(
-        (spec.fleetLineIndexBase +
-         static_cast<std::uint64_t>(spec.fleetLineIndexStep) * v) %
-        kLinesPerPage);
-}
-
-/** The explicit failure record of a victim whose attack never ran
- *  (failed warmup on the fork path, failed Step 0 on rebuild). */
-void
-recordFailedVictim(TrialRecorder &rec, Cycles totalCycles)
-{
-    rec.outcome("evsets_built", false);
-    rec.outcome("target_found", false);
-    rec.outcome("target_correct", false);
-    rec.outcome("key_recovered", false);
-    rec.metric("build_cycles", 0.0);
-    rec.metric("scan_cycles", 0.0);
-    rec.metric("extract_cycles", 0.0);
-    rec.metric("total_cycles", static_cast<double>(totalCycles));
-    rec.metric("traces_collected", 0.0);
-    // No recovered_fraction / bit_error_rate samples: a victim that
-    // was never attacked contributes *absent* accuracy metrics, not
-    // fake zeros — summarizeCampaign and the bench gate handle the
-    // all-victims-failed fleet where these keys never appear at all.
-}
-
-/**
- * Rotation campaigns score each key epoch independently: a trace only
- * supports the key it was served under (DESIGN.md §11).  Records one
- * "epoch_key_recovered" outcome per epoch seen in the monitored
- * traces and returns whether any epoch's key met the quality bands.
- */
-bool
-scoreKeyEpochs(const ScenarioSpec &spec, TrialRecorder &rec,
-               const E2EResult &res)
-{
-    // Traces arrive in collection order, so epochs are non-decreasing;
-    // group by scanning for boundaries.
-    std::size_t epochs = 0;
-    std::size_t recoveredEpochs = 0;
-    std::size_t i = 0;
-    while (i < res.traceRecords.size()) {
-        const unsigned epoch = res.traceRecords[i].keyEpoch;
-        SampleStats rf;
-        SampleStats ber;
-        for (; i < res.traceRecords.size() &&
-               res.traceRecords[i].keyEpoch == epoch;
-             ++i) {
-            rf.add(res.traceRecords[i].recoveredFraction);
-            if (res.traceRecords[i].hasBitErrorRate)
-                ber.add(res.traceRecords[i].bitErrorRate);
-        }
-        const bool recovered =
-            res.targetCorrect && !rf.empty() && !ber.empty() &&
-            rf.mean() >= spec.keyMinRecoveredFraction &&
-            ber.mean() <= spec.keyMaxBitErrorRate;
-        rec.outcome("epoch_key_recovered", recovered);
-        ++epochs;
-        recoveredEpochs += recovered;
-    }
-    rec.metric("traffic_epochs", static_cast<double>(epochs));
-    rec.metric("traffic_epoch_keys",
-               static_cast<double>(recoveredEpochs));
-    return recoveredEpochs > 0;
-}
-
-/** Record one attack result under the campaign's canonical names. */
-void
-recordVictimResult(const ScenarioSpec &spec, TrialRecorder &rec,
-                   const E2EResult &res, Cycles totalCycles)
-{
-    rec.outcome("evsets_built", res.evsetsBuilt);
-    rec.outcome("target_found", res.targetFound);
-    rec.outcome("target_correct", res.targetCorrect);
-    const bool recovered =
-        spec.rotateKeys > 0
-            ? scoreKeyEpochs(spec, rec, res)
-            : res.targetCorrect && !res.recoveredFraction.empty() &&
-                  !res.bitErrorRate.empty() &&
-                  res.recoveredFraction.mean() >=
-                      spec.keyMinRecoveredFraction &&
-                  res.bitErrorRate.mean() <= spec.keyMaxBitErrorRate;
-    rec.outcome("key_recovered", recovered);
-
-    rec.metric("build_cycles", static_cast<double>(res.buildTime));
-    rec.metric("scan_cycles", static_cast<double>(res.scanTime));
-    rec.metric("extract_cycles", static_cast<double>(res.extractTime));
-    rec.metric("total_cycles", static_cast<double>(totalCycles));
-    rec.metric("traces_collected",
-               static_cast<double>(res.tracesCollected));
-    for (double v : res.recoveredFraction.samples())
-        rec.metric("recovered_fraction", v);
-    for (double v : res.bitErrorRate.samples())
-        rec.metric("bit_error_rate", v);
-}
 
 /**
  * The fork path's per-worker warmed world: Steps 0-2 run once, the
@@ -170,39 +57,33 @@ struct CampaignWorld
 
 CampaignWorld::CampaignWorld(const ScenarioSpec &s,
                              std::uint64_t masterSeed)
-    : spec(s), rig(s, streamSeed(masterSeed, kWorldStream))
+    : spec(s),
+      rig(s, streamSeed(masterSeed, kWorldStream)),
+      params(s.attackParams())
 {
     Machine &m = rig.machine;
 
     // ---- Step 0: blind campaigns calibrate once; the cost lands in
     // warmupCycles like the rest of the warmup.
-    if (spec.blind()) {
-        CalibratedTopology calib = runScenarioCalibration(spec, rig);
-        if (!calib.valid) {
-            warmupCycles = m.now();
-            return; // scanOk stays false: every victim fails explicitly
-        }
+    if (spec.blind() && !runScenarioCalibration(spec, rig).valid) {
+        warmupCycles = m.now();
+        return; // scanOk stays false: every victim fails explicitly
     }
 
     // All fleet victims share one layout on the fork path.
-    const unsigned lineIndex = fleetLineIndexFor(spec, 0);
+    const unsigned lineIndex = spec.fleetLineIndex(0);
 
     // ---- classifier training on an attacker-side replica.
     auto replica = makeScenarioVictim(
-        spec, m, streamSeed(rig.victimSeed(), kTrainingReplica),
+        spec, m, streamSeed(rig.victimSeed(), kTrainingReplicaStream),
         lineIndex, 0);
     classifier = trainScenarioClassifier(spec, rig, *replica);
 
-    params.algo = spec.algo;
-    params.useFilter = spec.useFilter;
-    params.tracesPerVictim = spec.tracesPerVictim;
-    params.scanner.timeout = secToCycles(spec.scanTimeoutSec);
-
     // ---- Step 1: eviction sets at the fleet's target line index.
-    EvictionSetBuilder builder(*rig.session, spec.algo, spec.useFilter);
-    BulkOutcome built =
-        builder.buildAtLineIndex(*rig.pool, lineIndex);
-    if (built.evsets.empty()) {
+    E2EResult res;
+    BulkOutcome built = EndToEndAttack::buildEvictionSets(
+        *rig.session, params, *rig.pool, lineIndex, res);
+    if (!res.evsetsBuilt) {
         warmupCycles = m.now();
         return;
     }
@@ -217,14 +98,13 @@ CampaignWorld::CampaignWorld(const ScenarioSpec &s,
     // ---- Step 2: identify the target SF set against a stand-in
     // victim with the fleet layout.
     auto scanVictim = makeScenarioVictim(
-        spec, m, streamSeed(rig.victimSeed(), kProductionVictim),
+        spec, m, streamSeed(rig.victimSeed(), kProductionVictimStream),
         lineIndex, 0);
-    scanVictim->serveRequests(
-        m.now(),
-        EndToEndAttack::scanRequestCount(*scanVictim, params.scanner));
-    TargetSetScanner scanner(*rig.session, classifier);
-    ScanResult scan = scanner.scan(built.evsets);
-    m.clearStreams();
+    EndToEndAttack attack(*rig.session, *scanVictim, classifier, extractor,
+                          params);
+    const ScanResult scan = attack.scanForTarget(
+        built.evsets,
+        EndToEndAttack::scanRequestCount(*scanVictim, params.scanner), res);
     warmupCycles = m.now();
     if (!scan.found)
         return;
@@ -266,12 +146,13 @@ void
 runForkedVictimTrial(CampaignWorld &world, const ScenarioSpec &spec,
                      TrialContext &ctx, TrialRecorder &rec)
 {
+    StageResults r;
     if (!world.scanOk) {
         // Warmup failed (blind calibration, Step 1 or Step 2): there
         // is no set to monitor, so every victim in the fleet fails
         // explicitly.  The one-time warmup cost is still charged via
         // trial 0's warmup_cycles metric below.
-        recordFailedVictim(rec, 0);
+        recordStageSeries(spec, r, rec);
         if (ctx.index == 0)
             rec.metric("warmup_cycles",
                        static_cast<double>(world.warmupCycles));
@@ -281,20 +162,18 @@ runForkedVictimTrial(CampaignWorld &world, const ScenarioSpec &spec,
     Machine &m = world.rig.machine;
     m.restore(world.machineSnap);
     world.rig.session->restore(world.sessionSnap);
-    const Cycles start = m.now();
 
     auto victim = makeScenarioVictim(
-        spec, m, streamSeed(ctx.seed, kProductionVictim),
-        fleetLineIndexFor(spec, ctx.index), spec.victimRequestQuota);
+        spec, m, streamSeed(ctx.seed, kProductionVictimStream),
+        spec.fleetLineIndex(ctx.index), spec.victimRequestQuota);
 
     EndToEndAttack attack(*world.rig.session, *victim,
                           world.classifier, world.extractor,
                           world.params);
-    E2EResult res = attack.runFromScan(world.evset);
-
     // Per-victim marginal cost: only this victim's monitoring time.
     // The shared Steps 0-2 cost is charged once (warmup_cycles).
-    recordVictimResult(spec, rec, res, m.now() - start);
+    r.attack = attack.runFromScan(world.evset);
+    recordStageSeries(spec, r, rec);
     maybeRecordTraffic(spec, rec, *victim, nullptr);
     recordPerfCounters(rec, m.perfCounters());
     if (ctx.index == 0)
@@ -303,76 +182,6 @@ runForkedVictimTrial(CampaignWorld &world, const ScenarioSpec &spec,
 }
 
 } // namespace
-
-void
-runCampaignVictimTrial(const ScenarioSpec &spec, TrialContext &ctx,
-                       TrialRecorder &rec)
-{
-    // Victim v's world view: the campaign axes with v's own noise
-    // environment.  Everything else is rebuilt from the trial stream,
-    // so two victims share nothing but the spec.
-    ScenarioSpec victimSpec = spec;
-    victimSpec.noise = fleetNoiseFor(spec, ctx.index);
-    ScenarioRig rig(victimSpec, ctx.seed);
-
-    // Blind campaigns run Step 0 first; its cycles are charged to the
-    // victim's total attack cost (and therefore to the fleet's
-    // cycles-per-recovered-key headline).
-    Cycles calibCycles = 0;
-    if (victimSpec.blind()) {
-        CalibratedTopology calib =
-            runScenarioCalibration(victimSpec, rig);
-        recordCalibration(rec, calib,
-                          compareToOracle(calib,
-                                          rig.machine.config()));
-        calibCycles = calib.cycles;
-        if (!calib.valid) {
-            // Step 0 came home empty: the attack cannot proceed.
-            // Record the explicit empty outcomes so the fleet
-            // aggregates stay comparable with successful victims.
-            recordFailedVictim(rec, calibCycles);
-            recordPerfCounters(rec, rig.machine.perfCounters());
-            return;
-        }
-    }
-
-    auto victim = makeScenarioVictim(
-        spec, rig.machine, streamSeed(rig.victimSeed(),
-                                      kProductionVictim),
-        fleetLineIndexFor(spec, ctx.index), spec.victimRequestQuota);
-    maybeArmScenarioWatchdog(rig.machine, *victim);
-
-    // The classifier trains offline on an attacker-side replica of
-    // the victim binary (same layout, its own key, no quota), as in
-    // the paper — the production victim's quota is never spent on
-    // training traffic.
-    auto replica = makeScenarioVictim(
-        spec, rig.machine, streamSeed(rig.victimSeed(),
-                                      kTrainingReplica),
-        fleetLineIndexFor(spec, ctx.index), 0);
-    TraceClassifier classifier =
-        trainScenarioClassifier(victimSpec, rig, *replica);
-    auto load =
-        makeScenarioLoad(victimSpec, rig.machine, rig.victimSeed());
-
-    NonceExtractor extractor; // rule-based boundary detection
-    E2EParams params;
-    params.algo = victimSpec.algo;
-    params.useFilter = victimSpec.useFilter;
-    params.tracesPerVictim = victimSpec.tracesPerVictim;
-    params.scanner.timeout = secToCycles(victimSpec.scanTimeoutSec);
-    EndToEndAttack attack(*rig.session, *victim, classifier, extractor,
-                          params);
-    E2EResult res = attack.run(*rig.pool);
-
-    recordVictimResult(spec, rec, res, res.totalTime() + calibCycles);
-    if (spec.defense.recordsMetrics())
-        recordDefenseMetrics(rec, rig.machine, nullptr);
-    maybeRecordTraffic(spec, rec, *victim, load.get());
-    // Campaigns always aggregate the hierarchy counters: BENCH_e2e
-    // is new output, so there is no historical byte content to keep.
-    recordPerfCounters(rec, rig.machine.perfCounters());
-}
 
 CampaignSummary
 summarizeCampaign(const CampaignAggregate &aggregate)
@@ -534,7 +343,7 @@ KeyRecoveryCampaign::run(const CampaignRunOptions &opts) const
                     workerWorld(spec_, opts.masterSeed, token);
                 runForkedVictimTrial(world, spec_, ctx, slots[i]);
             } else {
-                runCampaignVictimTrial(spec_, ctx, slots[i]);
+                runScenarioTrial(spec_, ctx, slots[i]);
             }
         });
         for (const TrialRecorder &slot : slots)

@@ -20,13 +20,15 @@
  * the next trial index; a resumed campaign finishes with JSON
  * byte-identical to an uninterrupted one.
  *
- * Two trial bodies exist: the rebuild path (every trial constructs
- * its complete world from its positional stream — the original,
- * per-victim-expensive contract) and the fork path
- * (ScenarioSpec::forkVictims — each worker warms one world once,
- * snapshots it after Steps 0-2, and every victim restores the
- * snapshot and pays only for Step 3), which is what 10^5+-victim
- * fleets run on.
+ * Victims run on one of two paths.  The rebuild path is the scenario
+ * pipeline's Campaign stage (runScenarioTrial): every trial builds its
+ * complete world from its positional stream, the original
+ * per-victim-expensive contract.  The fork path
+ * (ScenarioSpec::forkVictims) warms one world per worker, snapshots
+ * it between Step 1 and Step 2, and every victim restores the
+ * snapshot and pays only for Step 3; 10^5+-victim fleets run on it.
+ * Both paths run EndToEndAttack's steps and record through
+ * recordStageSeries, so a victim's series do not depend on its path.
  */
 
 #ifndef LLCF_CAMPAIGN_CAMPAIGN_HH
@@ -177,19 +179,6 @@ class KeyRecoveryCampaign
   private:
     ScenarioSpec spec_;
 };
-
-/**
- * One victim's trial body on the rebuild path: construct the victim's
- * world from the trial stream, run the full EndToEndAttack, and
- * record the per-victim outcomes ("evsets_built", "target_found",
- * "target_correct", "key_recovered"), stage cycle metrics,
- * recovered-fraction / bit-error-rate samples, traces_collected and
- * the pc_* counters.  Dispatched by runScenarioTrial for
- * ScenarioStage::Campaign, so campaign scenarios also run under
- * bench_suite --suite=scenarios --scenario=.
- */
-void runCampaignVictimTrial(const ScenarioSpec &spec, TrialContext &ctx,
-                            TrialRecorder &rec);
 
 /**
  * An ordered collection of campaign results destined for one

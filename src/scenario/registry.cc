@@ -278,12 +278,19 @@ makeBuiltins()
         "Blind calibration on Skylake-SP under Cloud Run noise",
         M::SkylakeSp, 2, R::LRU, "cloud"));
     // Stress cell: Tree-PLRU defeats single-pass traversal at the
-    // 11/12-way Skylake geometry, so reductions often fail or
-    // mis-measure — the matrix documents the degradation.
-    reg.add(calibBase(
-        "calib-skl-plru-quiet",
-        "Stress: blind calibration vs a Tree-PLRU LLC/SF",
-        M::SkylakeSp, 2, R::TreePLRU, "quiet"));
+    // 11/12-way Skylake geometry, so Step 0 never calibrates — the
+    // declared expectation pins that the attack dies here.
+    {
+        ScenarioSpec s = calibBase(
+            "calib-skl-plru-quiet",
+            "Stress: blind calibration vs a Tree-PLRU LLC/SF",
+            M::SkylakeSp, 2, R::TreePLRU, "quiet");
+        s.expect = {Ex::Series::OutcomeRate, "calibrated", Ex::Cmp::AtMost,
+                    0.0,
+                    "blind calibration survived a Tree-PLRU LLC/SF; the "
+                    "stress cell no longer documents the degradation"};
+        reg.add(s);
+    }
     reg.add(calibBase(
         "calib-icx-lru-quiet",
         "Blind calibration on Ice Lake-SP (16-way SF) when quiet",
@@ -496,6 +503,13 @@ makeBuiltins()
         s.trainNontargetTraces = 12;
         s.defense.kind = DefenseKind::WayPart;
         s.defense.protectedWays = 2;
+        // The partition starves Step 1 (no set builds), so the attack
+        // dies before the scan and the scan series record explicit
+        // misses.
+        s.expect = {Ex::Series::OutcomeRate, "target_found", Ex::Cmp::AtMost,
+                    0.0,
+                    "the LLC way partition no longer stops the scan "
+                    "stage, or the scan series went missing"};
         reg.add(s);
     }
     {
@@ -577,6 +591,8 @@ makeBuiltins()
         reg.add(s);
     }
     {
+        // Re-keying every 50 us dissolves the congruence Step 0
+        // measures, so calibration never succeeds.
         ScenarioSpec s = calibBase(
             "defense-rekey-fast-tiny-calib",
             "Blind calibration degrades under fast re-keying",
@@ -587,6 +603,9 @@ makeBuiltins()
         s.calibSamplePages = 96;
         s.defense.kind = DefenseKind::KeyedRekey;
         s.defense.rekeyIntervalMs = 0.05;
+        s.expect = {Ex::Series::OutcomeRate, "calibrated", Ex::Cmp::AtMost,
+                    0.0,
+                    "fast re-keying no longer stops blind calibration"};
         reg.add(s);
     }
     {

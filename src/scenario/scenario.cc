@@ -1,7 +1,5 @@
 #include "scenario.hh"
 
-#include "attack/e2e.hh"
-#include "campaign/campaign.hh"
 #include "common/log.hh"
 #include "common/options.hh"
 #include "common/rng.hh"
@@ -9,24 +7,9 @@
 namespace llcf {
 namespace {
 
-/** Positional sub-seed: trial seed -> per-actor stream. */
-std::uint64_t
-actorSeed(std::uint64_t trial_seed, std::uint64_t actor)
-{
-    return streamSeed(trial_seed, actor);
-}
-
 constexpr std::uint64_t kMachineActor = 0;
 constexpr std::uint64_t kAttackerActor = 1;
 constexpr std::uint64_t kVictimActor = 2;
-
-/** Counters hook shared by the trial bodies (opt-in via env). */
-void
-maybeRecordCounters(const ScenarioRig &rig, TrialRecorder &rec)
-{
-    if (countersEnabled())
-        recordPerfCounters(rec, rig.machine.perfCounters());
-}
 
 /** The victim lines a defense watches: target + decoys. */
 std::vector<Addr>
@@ -40,214 +23,176 @@ victimWorkingSet(const Victim &victim)
     return lines;
 }
 
+/** What one trial's stages leave behind for the recorders. */
+struct TrialRun
+{
+    StageResults results;
+    std::unique_ptr<Victim> victim;   //!< null until the victim stage
+    std::unique_ptr<CoTenantLoad> load;
+};
+
 /**
- * Defense hook shared by the trial bodies: record the "def_*" series
- * iff the spec asks for them (active defense, or an undefended
- * baseline cell with measure set).  Gated here so the existing cells'
- * serialized records stay byte-identical.
+ * Run @p spec's stages in order on @p rig -- Step 0 if blind, then the
+ * victim, watchdog, classifier and load, then Steps 1-3 -- stopping
+ * at spec.stage or at the first step that fails.
  */
 void
-maybeRecordDefense(const ScenarioSpec &spec, const ScenarioRig &rig,
-                   TrialRecorder &rec, const Victim *victim)
+runStages(const ScenarioSpec &spec, ScenarioRig &rig, std::size_t trial,
+          TrialRecorder &rec, TrialRun &run)
 {
-    if (!spec.defense.recordsMetrics())
-        return;
-    if (victim) {
-        const std::vector<Addr> ws = victimWorkingSet(*victim);
-        recordDefenseMetrics(rec, rig.machine, &ws);
-    } else {
-        recordDefenseMetrics(rec, rig.machine, nullptr);
+    Machine &m = rig.machine;
+    if (spec.blind()) {
+        CalibratedTopology calib = runScenarioCalibration(spec, rig);
+        recordCalibration(rec, calib, compareToOracle(calib, m.config()));
+        run.results.calibCycles = calib.cycles;
+        if (!calib.valid)
+            return;
     }
+    if (spec.stage == ScenarioStage::Calibrate)
+        return;
+    if (spec.stage == ScenarioStage::EvsetBuild) {
+        // One SF eviction set for a pool line, away from any victim.
+        auto cands = rig.pool->candidatesAt(
+            static_cast<unsigned>((3 * trial) % kLinesPerPage));
+        const Addr ta = cands[trial % cands.size()];
+        cands.erase(cands.begin() + static_cast<long>(trial % cands.size()));
+        EvictionSetBuilder builder(*rig.session, spec.algo, spec.useFilter);
+        run.results.single = builder.buildForTarget(ta, cands);
+        return;
+    }
+
+    // A campaign victim has its fleet slot's layout and quota, and the
+    // classifier trains offline on an attacker-side replica of it (its
+    // own key, no quota), as in the paper, so the production victim's
+    // quota is never spent on training.  The single-victim stages
+    // train on the victim itself.
+    const bool fleet = spec.stage == ScenarioStage::Campaign;
+    const std::uint64_t seed = rig.victimSeed();
+    run.victim =
+        fleet ? makeScenarioVictim(spec, m,
+                                   streamSeed(seed, kProductionVictimStream),
+                                   spec.fleetLineIndex(trial),
+                                   spec.victimRequestQuota)
+              : makeScenarioVictim(spec, m, seed,
+                                   VictimConfig{}.targetLineIndex, 0);
+    maybeArmScenarioWatchdog(m, *run.victim);
+    const std::unique_ptr<Victim> replica =
+        fleet ? makeScenarioVictim(spec, m,
+                                   streamSeed(seed, kTrainingReplicaStream),
+                                   spec.fleetLineIndex(trial), 0)
+              : nullptr;
+    const TraceClassifier classifier =
+        trainScenarioClassifier(spec, rig, replica ? *replica : *run.victim);
+    run.load = makeScenarioLoad(spec, m, seed);
+
+    // Steps 1-3.  The Scan stage stops after Step 2 (it monitors no
+    // signing) and keeps its historical fixed batch of 8 scan
+    // requests for a closed-loop victim.
+    E2EParams params = spec.attackParams();
+    const bool scanOnly = spec.stage == ScenarioStage::Scan;
+    if (scanOnly)
+        params.tracesPerVictim = 0;
+    const unsigned requests =
+        scanOnly && !run.victim->config().arrival.active()
+            ? 8
+            : EndToEndAttack::scanRequestCount(*run.victim, params.scanner);
+    const NonceExtractor extractor; // rule-based boundary detection
+    EndToEndAttack attack(*rig.session, *run.victim, classifier, extractor,
+                          params);
+    run.results.attack = attack.run(*rig.pool, requests);
 }
 
 /**
- * Step 0 for blind single-victim stages: calibrate, record, adopt.
- * Returns false when calibration failed and the attack stages cannot
- * run; the caller then records its stage outcomes and cycle metrics
- * as explicit zeros so suite aggregates keep counting failed trials.
- * @p calib_cycles receives the Step-0 cost either way — stages with
- * a total-cost metric charge it there, exactly like the campaign
- * flow in src/campaign/ charges it to the per-key cost.
+ * Whether a campaign victim's key counts as recovered: the correct set
+ * was monitored and its traces clear the spec's quality bands.
+ * Rotation campaigns score each key epoch independently, since a
+ * trace only supports the key it was served under (DESIGN.md §11),
+ * and record one "epoch_key_recovered" outcome per epoch seen plus
+ * the epoch totals; without rotation every trace is in epoch 0.
  */
 bool
-maybeCalibrateBlind(const ScenarioSpec &spec, ScenarioRig &rig,
-                    TrialRecorder &rec, Cycles *calib_cycles)
+scoreKey(const ScenarioSpec &spec, TrialRecorder &rec, const E2EResult &res)
 {
-    *calib_cycles = 0;
-    if (!spec.blind())
-        return true;
-    CalibratedTopology calib = runScenarioCalibration(spec, rig);
-    recordCalibration(rec, calib,
-                      compareToOracle(calib, rig.machine.config()));
-    *calib_cycles = calib.cycles;
-    return calib.valid;
-}
-
-void
-runEvsetBuildTrial(const ScenarioSpec &spec, TrialContext &ctx,
-                   TrialRecorder &rec)
-{
-    ScenarioRig rig(spec, ctx.seed);
-    Cycles calibCycles = 0;
-    if (!maybeCalibrateBlind(spec, rig, rec, &calibCycles)) {
-        rec.outcome("success", false);
-        rec.metric("build_cycles", 0.0);
-        rec.metric("attempts", 0.0);
-        maybeRecordDefense(spec, rig, rec, nullptr);
-        maybeRecordCounters(rig, rec);
-        return;
+    const bool rotating = spec.rotateKeys > 0;
+    // Traces arrive in collection order, so epochs are non-decreasing;
+    // group by scanning for boundaries.
+    std::size_t epochs = 0;
+    std::size_t recoveredEpochs = 0;
+    std::size_t i = 0;
+    while (i < res.traceRecords.size()) {
+        const unsigned epoch = res.traceRecords[i].keyEpoch;
+        SampleStats rf;
+        SampleStats ber;
+        for (; i < res.traceRecords.size() &&
+               res.traceRecords[i].keyEpoch == epoch;
+             ++i) {
+            rf.add(res.traceRecords[i].recoveredFraction);
+            if (res.traceRecords[i].hasBitErrorRate)
+                ber.add(res.traceRecords[i].bitErrorRate);
+        }
+        const bool recovered =
+            res.targetCorrect && !rf.empty() && !ber.empty() &&
+            rf.mean() >= spec.keyMinRecoveredFraction &&
+            ber.mean() <= spec.keyMaxBitErrorRate;
+        if (rotating)
+            rec.outcome("epoch_key_recovered", recovered);
+        ++epochs;
+        recoveredEpochs += recovered;
     }
-    const std::size_t t = ctx.index;
-    auto cands = rig.pool->candidatesAt(
-        static_cast<unsigned>((3 * t) % kLinesPerPage));
-    const Addr ta = cands[t % cands.size()];
-    cands.erase(cands.begin() + static_cast<long>(t % cands.size()));
-
-    EvictionSetBuilder builder(*rig.session, spec.algo, spec.useFilter);
-    auto out = builder.buildForTarget(ta, cands);
-    rec.outcome("success", out.success && out.groundTruthValid);
-    rec.metric("build_cycles", static_cast<double>(out.elapsed));
-    rec.metric("attempts", static_cast<double>(out.attempts));
-    maybeRecordDefense(spec, rig, rec, nullptr);
-    maybeRecordCounters(rig, rec);
-}
-
-void
-runScanTrial(const ScenarioSpec &spec, TrialContext &ctx,
-             TrialRecorder &rec)
-{
-    ScenarioRig rig(spec, ctx.seed);
-    Cycles calibCycles = 0;
-    if (!maybeCalibrateBlind(spec, rig, rec, &calibCycles)) {
-        rec.outcome("evsets_built", false);
-        rec.outcome("target_found", false);
-        rec.outcome("target_correct", false);
-        rec.metric("build_cycles", 0.0);
-        rec.metric("scan_cycles", 0.0);
-        rec.metric("sets_scanned", 0.0);
-        maybeRecordDefense(spec, rig, rec, nullptr);
-        maybeRecordCounters(rig, rec);
-        return;
+    if (rotating) {
+        rec.metric("traffic_epochs", static_cast<double>(epochs));
+        rec.metric("traffic_epoch_keys",
+                   static_cast<double>(recoveredEpochs));
     }
-    Machine &m = rig.machine;
-    auto victim = makeScenarioVictim(spec, m, rig.victimSeed(),
-                                     VictimConfig{}.targetLineIndex, 0);
-    maybeArmScenarioWatchdog(m, *victim);
-    TraceClassifier classifier = trainScenarioClassifier(spec, rig,
-                                                         *victim);
-    auto load = makeScenarioLoad(spec, m, rig.victimSeed());
-
-    Cycles t0 = m.now();
-    EvictionSetBuilder builder(*rig.session, spec.algo, spec.useFilter);
-    auto bulk = builder.buildAtLineIndex(*rig.pool,
-                                         victim->targetLineIndex());
-    rec.metric("build_cycles", static_cast<double>(m.now() - t0));
-    rec.outcome("evsets_built", !bulk.evsets.empty());
-    if (bulk.evsets.empty()) {
-        maybeRecordDefense(spec, rig, rec, victim.get());
-        maybeRecordTraffic(spec, rec, *victim, load.get());
-        maybeRecordCounters(rig, rec);
-        return;
-    }
-
-    // Keep the victim serving requests across the scan window.  Open
-    // loop sizes the request count from the arrival rate; closed loop
-    // keeps the historical fixed batch.
-    const unsigned scanRequests =
-        victim->config().arrival.active()
-            ? EndToEndAttack::scanRequestCount(*victim,
-                                               classifier.params())
-            : 8;
-    victim->serveRequests(m.now(), scanRequests);
-    t0 = m.now();
-    TargetSetScanner scanner(*rig.session, classifier);
-    auto res = scanner.scan(bulk.evsets);
-    m.clearStreams();
-    rec.metric("scan_cycles", static_cast<double>(m.now() - t0));
-    rec.metric("sets_scanned", static_cast<double>(res.setsScanned));
-    rec.outcome("target_found", res.found);
-    rec.outcome("target_correct",
-                res.found &&
-                    m.sharedSetOf(bulk.evsets[res.evsetIndex].target) ==
-                        m.sharedSetOf(victim->targetLinePa()));
-    maybeRecordDefense(spec, rig, rec, victim.get());
-    maybeRecordTraffic(spec, rec, *victim, load.get());
-    maybeRecordCounters(rig, rec);
-}
-
-void
-runEndToEndTrial(const ScenarioSpec &spec, TrialContext &ctx,
-                 TrialRecorder &rec)
-{
-    ScenarioRig rig(spec, ctx.seed);
-    Cycles calibCycles = 0;
-    if (!maybeCalibrateBlind(spec, rig, rec, &calibCycles)) {
-        rec.outcome("evsets_built", false);
-        rec.outcome("target_found", false);
-        rec.outcome("target_correct", false);
-        rec.metric("build_cycles", 0.0);
-        rec.metric("scan_cycles", 0.0);
-        rec.metric("extract_cycles", 0.0);
-        rec.metric("total_cycles", static_cast<double>(calibCycles));
-        maybeRecordDefense(spec, rig, rec, nullptr);
-        maybeRecordCounters(rig, rec);
-        return;
-    }
-    auto victim = makeScenarioVictim(spec, rig.machine,
-                                     rig.victimSeed(),
-                                     VictimConfig{}.targetLineIndex, 0);
-    maybeArmScenarioWatchdog(rig.machine, *victim);
-    TraceClassifier classifier = trainScenarioClassifier(spec, rig,
-                                                         *victim);
-    auto load = makeScenarioLoad(spec, rig.machine, rig.victimSeed());
-    NonceExtractor extractor; // rule-based boundary detection
-
-    E2EParams params;
-    params.algo = spec.algo;
-    params.useFilter = spec.useFilter;
-    params.tracesPerVictim = spec.tracesPerVictim;
-    params.scanner.timeout = secToCycles(spec.scanTimeoutSec);
-    EndToEndAttack attack(*rig.session, *victim, classifier, extractor,
-                          params);
-    auto res = attack.run(*rig.pool);
-
-    rec.outcome("evsets_built", res.evsetsBuilt);
-    rec.outcome("target_found", res.targetFound);
-    rec.outcome("target_correct", res.targetCorrect);
-    rec.metric("build_cycles", static_cast<double>(res.buildTime));
-    rec.metric("scan_cycles", static_cast<double>(res.scanTime));
-    rec.metric("extract_cycles", static_cast<double>(res.extractTime));
-    // Blind trials charge Step 0 into the total, as campaigns do.
-    rec.metric("total_cycles",
-               static_cast<double>(res.totalTime() + calibCycles));
-    for (double v : res.recoveredFraction.samples())
-        rec.metric("recovered_fraction", v);
-    for (double v : res.bitErrorRate.samples())
-        rec.metric("bit_error_rate", v);
-    if (spec.victimFamily == VictimFamily::AesTable) {
-        rec.metric("aes_nibbles_total",
-                   static_cast<double>(res.aesNibblesTotal));
-        rec.metric("aes_nibbles_correct",
-                   static_cast<double>(res.aesNibblesCorrect));
-    }
-    maybeRecordDefense(spec, rig, rec, victim.get());
-    maybeRecordTraffic(spec, rec, *victim, load.get());
-    maybeRecordCounters(rig, rec);
-}
-
-void
-runCalibrateTrial(const ScenarioSpec &spec, TrialContext &ctx,
-                  TrialRecorder &rec)
-{
-    ScenarioRig rig(spec, ctx.seed);
-    CalibratedTopology calib = runScenarioCalibration(spec, rig);
-    recordCalibration(rec, calib,
-                      compareToOracle(calib, rig.machine.config()));
-    maybeRecordDefense(spec, rig, rec, nullptr);
-    maybeRecordCounters(rig, rec);
+    return recoveredEpochs > 0;
 }
 
 } // namespace
+
+void
+recordStageSeries(const ScenarioSpec &spec, const StageResults &r,
+                  TrialRecorder &rec)
+{
+    const auto cycles = [&rec](const char *name, Cycles c) {
+        rec.metric(name, static_cast<double>(c));
+    };
+    if (spec.stage == ScenarioStage::Calibrate)
+        return; // Step 0's series come from recordCalibration
+    if (spec.stage == ScenarioStage::EvsetBuild) {
+        rec.outcome("success", r.single.success && r.single.groundTruthValid);
+        cycles("build_cycles", r.single.elapsed);
+        rec.metric("attempts", static_cast<double>(r.single.attempts));
+        return;
+    }
+    const E2EResult &a = r.attack;
+    const bool fleet = spec.stage == ScenarioStage::Campaign;
+    rec.outcome("evsets_built", a.evsetsBuilt);
+    rec.outcome("target_found", a.targetFound);
+    rec.outcome("target_correct", a.targetCorrect);
+    if (fleet)
+        rec.outcome("key_recovered", scoreKey(spec, rec, a));
+    cycles("build_cycles", a.buildTime);
+    cycles("scan_cycles", a.scanTime);
+    if (spec.stage == ScenarioStage::Scan) {
+        rec.metric("sets_scanned", static_cast<double>(a.setsScanned));
+        return;
+    }
+    cycles("extract_cycles", a.extractTime);
+    // Blind trials charge Step 0 into the total, as campaigns do.
+    cycles("total_cycles", a.totalTime() + r.calibCycles);
+    if (fleet)
+        rec.metric("traces_collected", static_cast<double>(a.tracesCollected));
+    for (double v : a.recoveredFraction.samples())
+        rec.metric("recovered_fraction", v);
+    for (double v : a.bitErrorRate.samples())
+        rec.metric("bit_error_rate", v);
+    if (!fleet && spec.victimFamily == VictimFamily::AesTable) {
+        rec.metric("aes_nibbles_total",
+                   static_cast<double>(a.aesNibblesTotal));
+        rec.metric("aes_nibbles_correct",
+                   static_cast<double>(a.aesNibblesCorrect));
+    }
+}
 
 TraceClassifier
 trainScenarioClassifier(const ScenarioSpec &spec, ScenarioRig &rig,
@@ -433,12 +378,23 @@ ScenarioSpec::calibrationConfig() const
     return c;
 }
 
+E2EParams
+ScenarioSpec::attackParams() const
+{
+    E2EParams p;
+    p.algo = algo;
+    p.useFilter = useFilter;
+    p.tracesPerVictim = tracesPerVictim;
+    p.scanner.timeout = secToCycles(scanTimeoutSec);
+    return p;
+}
+
 ScenarioRig::ScenarioRig(const ScenarioSpec &spec, std::uint64_t seed)
     : machine(spec.machineConfig(), spec.noiseProfile(),
-              actorSeed(seed, kMachineActor))
+              streamSeed(seed, kMachineActor))
 {
     AttackerConfig acfg;
-    acfg.seed = actorSeed(seed, kAttackerActor);
+    acfg.seed = streamSeed(seed, kAttackerActor);
     acfg.evsetBudget = msToCycles(spec.evsetBudgetMs);
     acfg.candidateFactor = spec.candidateFactor;
     acfg.blindTopology = spec.blind();
@@ -453,7 +409,7 @@ ScenarioRig::ScenarioRig(const ScenarioSpec &spec, std::uint64_t seed)
                   spec.candidateFactor)
             : CandidatePool::requiredPages(machine,
                                            spec.candidateFactor));
-    victimSeed_ = actorSeed(seed, kVictimActor);
+    victimSeed_ = streamSeed(seed, kVictimActor);
 }
 
 CalibratedTopology
@@ -495,27 +451,32 @@ recordCalibration(TrialRecorder &rec, const CalibratedTopology &calib,
 }
 
 void
-runScenarioTrial(const ScenarioSpec &spec, TrialContext &ctx,
+runScenarioTrial(const ScenarioSpec &cell, TrialContext &ctx,
                  TrialRecorder &rec)
 {
-    switch (spec.stage) {
-      case ScenarioStage::EvsetBuild:
-        runEvsetBuildTrial(spec, ctx, rec);
-        return;
-      case ScenarioStage::Scan:
-        runScanTrial(spec, ctx, rec);
-        return;
-      case ScenarioStage::EndToEnd:
-        runEndToEndTrial(spec, ctx, rec);
-        return;
-      case ScenarioStage::Campaign:
-        runCampaignVictimTrial(spec, ctx, rec);
-        return;
-      case ScenarioStage::Calibrate:
-        runCalibrateTrial(spec, ctx, rec);
-        return;
+    // Campaign victim v attacks under its own noise environment.
+    ScenarioSpec spec = cell;
+    if (spec.stage == ScenarioStage::Campaign && !spec.fleetNoises.empty())
+        spec.noise = spec.fleetNoises[ctx.index % spec.fleetNoises.size()];
+    ScenarioRig rig(spec, ctx.seed);
+    TrialRun run;
+    runStages(spec, rig, ctx.index, rec, run);
+
+    recordStageSeries(spec, run.results, rec);
+    if (spec.defense.recordsMetrics()) {
+        // Single-victim stages report the victim's residency too.
+        const std::vector<Addr> ws =
+            run.victim && spec.stage != ScenarioStage::Campaign
+                ? victimWorkingSet(*run.victim)
+                : std::vector<Addr>{};
+        recordDefenseMetrics(rec, rig.machine, &ws);
     }
-    fatal("scenario '%s': unknown stage", spec.name.c_str());
+    if (run.victim)
+        maybeRecordTraffic(spec, rec, *run.victim, run.load.get());
+    // Campaigns always aggregate the hierarchy counters: BENCH_e2e
+    // started with them, so there is no older byte content to keep.
+    if (spec.stage == ScenarioStage::Campaign || countersEnabled())
+        recordPerfCounters(rec, rig.machine.perfCounters());
 }
 
 void

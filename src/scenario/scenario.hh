@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "attack/scanner.hh"
+#include "attack/e2e.hh"
 #include "calib/prober.hh"
 #include "defense/defense.hh"
 #include "evset/builder.hh"
@@ -142,10 +142,19 @@ struct ScenarioSpec
     /** Per-victim noise rotation; empty = every victim uses noise. */
     std::vector<std::string> fleetNoises;
 
-    /** Victim v's target page-line index:
-     *  (fleetLineIndexBase + fleetLineIndexStep * v) % 64. */
+    /** Victim v's target page-line index: fleetLineIndex(v). */
     unsigned fleetLineIndexBase = 21;
     unsigned fleetLineIndexStep = 13;
+
+    /** (fleetLineIndexBase + fleetLineIndexStep * v) % 64. */
+    unsigned
+    fleetLineIndex(std::size_t v) const
+    {
+        return static_cast<unsigned>(
+            (fleetLineIndexBase +
+             static_cast<std::uint64_t>(fleetLineIndexStep) * v) %
+            kLinesPerPage);
+    }
 
     /** Per-victim request quota (0 = unlimited); see VictimConfig. */
     std::uint64_t victimRequestQuota = 0;
@@ -254,6 +263,9 @@ struct ScenarioSpec
 
     /** The Step-0 prober configuration this spec implies. */
     CalibrationConfig calibrationConfig() const;
+
+    /** The Steps 1-3 attack parameters this spec implies. */
+    E2EParams attackParams() const;
 };
 
 /**
@@ -282,7 +294,9 @@ struct ScenarioRig
 {
     ScenarioRig(const ScenarioSpec &spec, std::uint64_t seed);
 
-    /** Seed for the victim service of this trial (stage Scan/E2E). */
+    /** Seed for this trial's victim service and co-tenant load: the
+     *  Scan and EndToEnd victim itself; a campaign's production
+     *  victim and training replica on the sub-streams below. */
     std::uint64_t victimSeed() const { return victimSeed_; }
 
     Machine machine; //!< this trial's simulated host
@@ -296,20 +310,57 @@ struct ScenarioRig
     std::uint64_t victimSeed_ = 0;
 };
 
+/** Sub-streams of a campaign rig's victimSeed(), shared by the
+ *  rebuild and fork paths: the production victim and the
+ *  attacker-side replica the classifier trains on. */
+constexpr std::uint64_t kProductionVictimStream = 0;
+constexpr std::uint64_t kTrainingReplicaStream = 1;
+
 /**
- * Execute one trial of @p spec, recording stage-appropriate metrics:
+ * Execute one trial of @p spec as one staged pipeline: the rig, Step 0
+ * if spec.blind(), then the victim, watchdog, classifier and load,
+ * then Steps 1-3 -- stopping at spec.stage.  Each stage records its
+ * series (see recordStageSeries):
  *
+ *  - Calibrate: the Step-0 series only (see recordCalibration)
  *  - EvsetBuild: outcome "success"; metrics "build_cycles", "attempts"
  *  - Scan: outcomes "evsets_built", "target_found", "target_correct";
  *    metrics "build_cycles", "scan_cycles", "sets_scanned"
- *  - EndToEnd: the scan outcomes plus metrics "extract_cycles",
- *    "total_cycles", "recovered_fraction", "bit_error_rate"
+ *  - EndToEnd: the scan outcomes; metrics "build_cycles",
+ *    "scan_cycles", "extract_cycles", "total_cycles", the per-trace
+ *    "recovered_fraction" / "bit_error_rate" samples, and for the AES
+ *    family "aes_nibbles_total" / "aes_nibbles_correct"
+ *  - Campaign: the scan outcomes plus "key_recovered" (and under key
+ *    rotation the per-epoch "epoch_key_recovered" outcomes and
+ *    "traffic_epochs" / "traffic_epoch_keys" metrics); the EndToEnd
+ *    cycle metrics plus "traces_collected" and the per-trace samples
+ *
+ * A trial that stops early -- a failed Step 0, an empty Step 1, a scan
+ * that finds nothing -- records the same outcome and metric names as
+ * a full run, as explicit false / 0 (per-trace samples are absent: no
+ * trace was taken).  A blind trial also records the Step-0 series
+ * first; axis cells add "def_*" and "traffic_*"; campaigns always
+ * record "pc_*", other stages only under LLCF_COUNTERS.
  *
  * Uses only @p ctx state — never ambient randomness — so the harness
  * determinism contract holds.
  */
 void runScenarioTrial(const ScenarioSpec &spec, TrialContext &ctx,
                       TrialRecorder &rec);
+
+/** What a trial's stages produced; a stage that never ran keeps the
+ *  defaults, which record as explicit false / 0. */
+struct StageResults
+{
+    BuildOutcome single;    //!< EvsetBuild's one eviction set
+    E2EResult attack;       //!< Steps 1-3 against the victim
+    Cycles calibCycles = 0; //!< Step 0, charged into total_cycles
+};
+
+/** Record @p r under spec.stage's outcome and metric names, in the
+ *  order runScenarioTrial documents. */
+void recordStageSeries(const ScenarioSpec &spec, const StageResults &r,
+                       TrialRecorder &rec);
 
 /**
  * Run @p spec on the experiment harness.
@@ -367,10 +418,10 @@ void recordPerfCounters(TrialRecorder &rec, const PerfCounters &pc);
  * Record one trial's defense event totals under the canonical
  * "def_*" metric names (re-keys, lines remapped, watchdog
  * probe/miss/fire counts plus the windowed self-miss rate), and —
- * when @p working_set is non-null — the fraction of those victim
- * lines still cached anywhere ("def_victim_resident": the residency
- * cost re-keying and partition pressure impose on the victim's own
- * working set).  Trial bodies call this iff
+ * when @p working_set is non-null and non-empty — the fraction of
+ * those victim lines still cached anywhere ("def_victim_resident":
+ * the residency cost re-keying and partition pressure impose on the
+ * victim's own working set).  runScenarioTrial calls this iff
  * spec.defense.recordsMetrics(), so undefended cells keep their
  * serialized shape byte-identical.
  */
@@ -380,7 +431,7 @@ void recordDefenseMetrics(TrialRecorder &rec, const Machine &machine,
 /**
  * Arm the machine's self-eviction watchdog on @p victim's working set
  * (target + decoy lines) iff the machine deploys one.  Called by the
- * victim-bearing trial bodies right after victim construction so the
+ * victim-bearing stages right after victim construction so the
  * watchdog observes the whole attack window.
  */
 void maybeArmScenarioWatchdog(Machine &machine, const Victim &victim);

@@ -75,8 +75,8 @@ TEST(CampaignFleet, VictimsDifferInKeyOffsetAndNoise)
     ScenarioSpec spec = campaignSpec("campaign-tiny-quota-mixed-4");
     ASSERT_GE(spec.fleetNoises.size(), 2u);
 
-    // Rebuild two victims' worlds the way runCampaignVictimTrial
-    // does: positional trial streams off one master seed.
+    // Rebuild two victims' worlds the way runScenarioTrial's Campaign
+    // stage does: positional trial streams off one master seed.
     struct World
     {
         World(const ScenarioSpec &spec, std::size_t v)

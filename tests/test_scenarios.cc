@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "scenario/registry.hh"
 #include "scenario/scenario.hh"
@@ -250,23 +251,83 @@ TEST(ScenarioDeterminism, RepeatedRunsAreBitIdentical)
 
 // --------------------------------------------- counters on failure
 
+/** The names of @p entries in first-recorded order, minus the Step-0,
+ *  calib_*, def_* and pc_* series (axis series, not stage series). */
+template <typename Entries>
+std::vector<std::string>
+stageSeriesNames(const Entries &entries)
+{
+    std::set<std::string> step0 = {"calibrated", "topology_match"};
+    const MachineConfig cfg = tinyTest(2);
+    for (const CalibrationFieldReport &f :
+         compareToOracle(CalibratedTopology{}, cfg).fields) {
+        step0.insert(f.field);
+        step0.insert(std::string(f.field) + "_match");
+    }
+    std::vector<std::string> out;
+    for (const auto &[name, stats] : entries) {
+        if (step0.count(name) || name.rfind("calib_", 0) == 0 ||
+            name.rfind("def_", 0) == 0 || name.rfind("pc_", 0) == 0)
+            continue;
+        out.push_back(name);
+    }
+    return out;
+}
+
 TEST(ScenarioCounters, RecordedWhenTheBulkBuildFails)
 {
-    // The way partition starves the scan cell's bulk build (0 sets
-    // on both smoke trials); its trials must still report pc_*.
-    const ScenarioSpec *spec =
-        builtinScenarios().find("defense-waypart-tiny-scan");
-    ASSERT_NE(spec, nullptr);
+    // A scan trial that stops early records the same stage series as
+    // a full one (explicit false / 0), plus pc_* under LLCF_COUNTERS.
+    // The way partition starves the scan cell's bulk build (0 sets on
+    // both smoke trials); the test-local blind scan inherits the
+    // fast-re-key calibration cell's host, so its Step 0 fails.
+    const ScenarioRegistry &reg = builtinScenarios();
+    const ScenarioSpec *full = reg.find("scan-bins-tiny-lru-local");
+    const ScenarioSpec *waypart = reg.find("defense-waypart-tiny-scan");
+    const ScenarioSpec *rekey = reg.find("defense-rekey-fast-tiny-calib");
+    ASSERT_NE(full, nullptr);
+    ASSERT_NE(waypart, nullptr);
+    ASSERT_NE(rekey, nullptr);
+    ScenarioSpec blindScan = *rekey;
+    blindScan.name = "blind-scan-rekey-fast-tiny";
+    blindScan.stage = ScenarioStage::Scan;
+    blindScan.blindTopology = true;
+
     setenv("LLCF_COUNTERS", "1", 1);
-    ExperimentResult res = runScenario(*spec, 2, 0, 42);
+    const ExperimentResult ref = runScenario(*full, 1, 0, 42);
+    const ExperimentResult starved = runScenario(*waypart, 2, 0, 42);
+    const ExperimentResult uncalibrated = runScenario(blindScan, 2, 0, 42);
     unsetenv("LLCF_COUNTERS");
 
-    const SuccessRate *built = res.outcome("evsets_built");
+    const SuccessRate *built = starved.outcome("evsets_built");
     ASSERT_NE(built, nullptr);
     EXPECT_EQ(built->successes(), 0u);
-    const SampleStats *pc = res.metric("pc_accesses");
-    ASSERT_NE(pc, nullptr);
-    EXPECT_EQ(pc->count(), 2u);
+    const SuccessRate *calibrated = uncalibrated.outcome("calibrated");
+    ASSERT_NE(calibrated, nullptr);
+    EXPECT_EQ(calibrated->successes(), 0u);
+
+    for (const ExperimentResult *early : {&starved, &uncalibrated}) {
+        SCOPED_TRACE(early->name());
+        EXPECT_EQ(stageSeriesNames(early->outcomes()),
+                  stageSeriesNames(ref.outcomes()));
+        EXPECT_EQ(stageSeriesNames(early->metrics()),
+                  stageSeriesNames(ref.metrics()));
+        for (const char *name : {"target_found", "target_correct"}) {
+            const SuccessRate *o = early->outcome(name);
+            ASSERT_NE(o, nullptr) << name;
+            EXPECT_EQ(o->trials(), 2u) << name;
+            EXPECT_EQ(o->successes(), 0u) << name;
+        }
+        for (const char *name : {"scan_cycles", "sets_scanned"}) {
+            const SampleStats *m = early->metric(name);
+            ASSERT_NE(m, nullptr) << name;
+            EXPECT_EQ(m->count(), 2u) << name;
+            EXPECT_EQ(m->max(), 0.0) << name;
+        }
+        const SampleStats *pc = early->metric("pc_accesses");
+        ASSERT_NE(pc, nullptr);
+        EXPECT_EQ(pc->count(), 2u);
+    }
 }
 
 // ----------------------------------------------- suites and bounds
@@ -312,8 +373,9 @@ fabricatedEntry(const ScenarioExpectation &e, const std::string &value)
 
 TEST(ScenarioExpectations, HardGatedCellsDeclareTheirBounds)
 {
-    // Each formerly hard-coded bench gate, with a value just inside
-    // and one just outside its bound (strictness included).
+    // Each formerly hard-coded bench gate and each declared "attack
+    // dies" regime, with a value just inside and one just outside its
+    // bound (strictness included).
     struct Case
     {
         const char *cell;
@@ -326,6 +388,10 @@ TEST(ScenarioExpectations, HardGatedCellsDeclareTheirBounds)
         {"traffic-aes-tiny-e2e", "1", "0.9999"},
         {"traffic-sparse-tiny-scan", "0.5", "0.5001"},
         {"traffic-rotate-tiny-campaign-2", "1.0001", "1"},
+        // The declared "attack dies" regimes.
+        {"defense-waypart-tiny-scan", "0", "0.0001"},
+        {"calib-skl-plru-quiet", "0", "0.0001"},
+        {"defense-rekey-fast-tiny-calib", "0", "0.0001"},
     };
     for (const Case &c : cases) {
         const ScenarioSpec *spec = builtinScenarios().find(c.cell);
