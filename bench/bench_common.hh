@@ -135,7 +135,7 @@ benchSpec(int env, unsigned slices, double evset_budget_ms)
 /** Emit one formatted row to stdout (the "paper table" view). */
 inline void
 printRow(const char *label, const SuccessRate &sr,
-         const SampleStats &times)
+         const StreamingStats &times)
 {
     std::printf("  %-28s succ %5.1f%%  avg %10s  med %10s  "
                 "std %10s\n",

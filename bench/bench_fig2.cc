@@ -12,6 +12,9 @@
  * BENCH_fig2.json are identical for any thread count.
  */
 
+#include <utility>
+#include <vector>
+
 #include "attack/covert.hh"
 #include "attack/monitor.hh"
 #include "bench_common.hh"
@@ -33,9 +36,14 @@ runEnvironment(ExperimentSuite &suite, int env)
     cfg.trials = trialCount(6);
     cfg.masterSeed = baseSeed();
 
+    // The printed CDF needs every raw gap, in trial order; the
+    // aggregate keeps only a sketch once a series outgrows its exact
+    // head, so the bench keeps its own copy per trial.
+    std::vector<std::vector<double>> gaps_by_trial(cfg.trials);
     ExperimentRunner runner(cfg);
     ExperimentResult result = runner.run(
-        [env, accesses_per_trial](TrialContext &ctx, TrialRecorder &rec) {
+        [env, accesses_per_trial, &gaps_by_trial](TrialContext &ctx,
+                                                  TrialRecorder &rec) {
         const std::size_t t = ctx.index;
         ScenarioRig rig(benchSpec(env, 4, 100.0), ctx.seed);
         const unsigned w = rig.machine.config().sf.ways;
@@ -51,17 +59,18 @@ runEnvironment(ExperimentSuite &suite, int env)
         while (detections.size() > accesses_per_trial)
             detections.pop_back();
         for (std::size_t i = 1; i < detections.size(); ++i) {
-            rec.metric("gap_us",
-                       cyclesToUs(detections[i] - detections[i - 1]));
+            const double gap =
+                cyclesToUs(detections[i] - detections[i - 1]);
+            rec.metric("gap_us", gap);
+            gaps_by_trial[t].push_back(gap);
         }
         rec.metric("accesses",
                    static_cast<double>(detections.size()));
         rec.metric("elapsed_ms", cyclesToMs(rig.machine.now() - start));
     });
 
-    const SampleStats *gaps = result.metric("gap_us");
-    const SampleStats *accesses = result.metric("accesses");
-    const SampleStats *elapsed = result.metric("elapsed_ms");
+    const StreamingStats *accesses = result.metric("accesses");
+    const StreamingStats *elapsed = result.metric("elapsed_ms");
     const double total_accesses =
         accesses ? accesses->mean() *
                        static_cast<double>(accesses->count())
@@ -73,8 +82,11 @@ runEnvironment(ExperimentSuite &suite, int env)
 
     std::printf("  %-12s background rate %.2f accesses/ms/set\n",
                 benchProfileName(env), rate);
-    if (gaps && !gaps->empty()) {
-        EmpiricalCdf cdf(gaps->samples());
+    std::vector<double> gaps;
+    for (const std::vector<double> &trial_gaps : gaps_by_trial)
+        gaps.insert(gaps.end(), trial_gaps.begin(), trial_gaps.end());
+    if (!gaps.empty()) {
+        EmpiricalCdf cdf(std::move(gaps));
         std::printf("  CDF of inter-access time (us -> P):\n");
         for (double x : {10.0, 25.0, 50.0, 100.0, 150.0, 200.0, 300.0,
                          500.0, 1000.0, 3000.0}) {

@@ -72,8 +72,8 @@ runCell(ExperimentSuite &suite, bool parallel, unsigned mult)
         rec.metric("candidates", static_cast<double>(n));
     });
 
-    const SampleStats *duration = result.metric("duration_us");
-    const SampleStats *cands = result.metric("candidates");
+    const StreamingStats *duration = result.metric("duration_us");
+    const StreamingStats *cands = result.metric("candidates");
     if (duration && !duration->empty()) {
         // Section 4.3: expected background accesses during one test,
         // and the resulting probability of a noise-free test.

@@ -61,7 +61,7 @@ runCell(ExperimentSuite &suite, MonitorKind kind, Cycles interval)
         rec.metric("detection_rate", out.detectionRate);
     });
 
-    const SampleStats *rates = result.metric("detection_rate");
+    const StreamingStats *rates = result.metric("detection_rate");
     if (rates && !rates->empty()) {
         std::printf("  %-10s interval %6lu cyc: detection %5.1f%% "
                     "(+- %4.1f)\n",

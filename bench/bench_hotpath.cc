@@ -264,7 +264,7 @@ runCell(const Cell &cell, std::size_t trials, bool wallclock)
         // Dedicated single-threaded pass so accesses/sec is not
         // distorted by harness parallelism.  Wall-clock numbers stay
         // on stdout; the serialised metrics above are all simulated.
-        std::printf("  %-34s", result.name().c_str());
+        std::printf("  %-34s", result.name.c_str());
         for (const Workload &w : kWorkloads) {
             WorkloadRun run = w.run(cell, streamSeed(baseSeed(), 0), ws);
             std::printf("  %s %7.2f Macc/s", w.name,
@@ -273,10 +273,10 @@ runCell(const Cell &cell, std::size_t trials, bool wallclock)
         }
         std::printf("\n");
     } else {
-        const SampleStats *churn =
+        const StreamingStats *churn =
             result.metric("churn_cycles_per_access");
         std::printf("  %-34s churn %8.2f cyc/acc\n",
-                    result.name().c_str(),
+                    result.name.c_str(),
                     churn && !churn->empty() ? churn->mean() : 0.0);
     }
     return result;
@@ -301,12 +301,12 @@ gateAgainstBaseline(const ExperimentSuite &suite,
     unsigned violations = 0;
     const char *suffix = "_cycles_per_access";
     for (const ExperimentResult &r : suite.results()) {
-        const JsonValue *base = benchBaselineEntry(doc, r.name());
+        const JsonValue *base = benchBaselineEntry(doc, r.name);
         if (!base) {
             std::fprintf(stderr,
                          "FAIL %s: cell missing from baseline "
                          "(regenerate %s)\n",
-                         r.name().c_str(), path.c_str());
+                         r.name.c_str(), path.c_str());
             ++violations;
             continue;
         }
@@ -322,7 +322,7 @@ gateAgainstBaseline(const ExperimentSuite &suite,
                 std::fprintf(stderr,
                              "FAIL %s/%s: metric missing from "
                              "baseline (regenerate %s)\n",
-                             r.name().c_str(), metric.c_str(),
+                             r.name.c_str(), metric.c_str(),
                              path.c_str());
                 ++violations;
                 continue;
@@ -335,7 +335,7 @@ gateAgainstBaseline(const ExperimentSuite &suite,
                 std::fprintf(stderr,
                              "FAIL %s/%s: %.4f outside [%.4f, %.4f] "
                              "(baseline %.4f, tolerance %.0f%%)\n",
-                             r.name().c_str(), metric.c_str(), got, lo,
+                             r.name.c_str(), metric.c_str(), got, lo,
                              hi, want, tol * 100.0);
                 ++violations;
             }

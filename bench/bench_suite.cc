@@ -225,15 +225,15 @@ printCellRow(ScenarioSuite suite, const ScenarioSpec &spec,
              const ExperimentResult &r)
 {
     const SuccessRate *sr = r.outcome(primaryOutcome(spec.stage));
-    const SampleStats *cycles = r.metric(primaryCycles(spec.stage));
-    std::printf("  %-32s succ %5.1f%%  cost %10s", r.name().c_str(),
+    const StreamingStats *cycles = r.metric(primaryCycles(spec.stage));
+    std::printf("  %-32s succ %5.1f%%  cost %10s", r.name.c_str(),
                 sr ? sr->rate() * 100.0 : 0.0,
                 cycles && !cycles->empty()
                     ? formatDuration(cycles->mean()).c_str()
                     : "-");
     for (const char *col : extraColumns(suite)) {
         const std::string name(col);
-        const SampleStats *m = r.metric(name);
+        const StreamingStats *m = r.metric(name);
         if (const SuccessRate *o = r.outcome(name)) {
             std::printf("  %s %5.1f%%", col, o->rate() * 100.0);
         } else if (!m || m->empty()) {
@@ -286,16 +286,6 @@ cellTrials(const SuiteRow &row, std::size_t full, bool smoke)
     return smoke ? std::min(full, row.smokeTrials) : trialCount(full);
 }
 
-template <typename Suite>
-void
-addTolerances(Suite &suite, const SuiteRow &row)
-{
-    if (row.rateTolerance <= 0.0)
-        return;
-    suite.contextValue("rate_tolerance", row.rateTolerance);
-    suite.contextValue("cycles_tolerance", row.cyclesTolerance);
-}
-
 /** Run the cells; the suite document, or nullopt when a checkpointed
  *  campaign stopped at a shard boundary.  @p cp carries the e2e
  *  checkpoint flags. */
@@ -304,21 +294,19 @@ runCells(const SuiteRow &row,
          const std::vector<const ScenarioSpec *> &specs, bool smoke,
          const CampaignRunOptions &cp)
 {
-    const char *bench = scenarioSuiteName(row.suite);
-    if (!runsCampaigns(row)) {
-        ExperimentSuite suite(bench);
-        addTolerances(suite, row);
-        for (const ScenarioSpec *spec : specs) {
+    ExperimentSuite suite(scenarioSuiteName(row.suite));
+    if (row.rateTolerance > 0.0) {
+        suite.contextValue("rate_tolerance", row.rateTolerance);
+        suite.contextValue("cycles_tolerance", row.cyclesTolerance);
+    }
+    for (const ScenarioSpec *spec : specs) {
+        if (!runsCampaigns(row)) {
             const std::size_t n = cellTrials(row, spec->defaultTrials, smoke);
             ExperimentResult result = runScenario(*spec, n, 0, baseSeed());
             printCellRow(row.suite, *spec, result);
             suite.add(std::move(result));
+            continue;
         }
-        return suite.toJson();
-    }
-    CampaignSuite suite(bench);
-    addTolerances(suite, row);
-    for (const ScenarioSpec *spec : specs) {
         CampaignRunOptions opts = cp;
         opts.fleet = cellTrials(row, spec->fleetSize, smoke);
         opts.masterSeed = baseSeed();
@@ -327,8 +315,7 @@ runCells(const SuiteRow &row,
         if (result.interrupted) {
             std::printf("  %-32s interrupted at trial %zu/%zu; "
                         "checkpoint %s -- resume with --resume\n",
-                        result.name.c_str(),
-                        result.aggregate.trials(), result.trials,
+                        result.name.c_str(), result.trials(), opts.fleet,
                         cp.checkpointPath.c_str());
             return std::nullopt;
         }

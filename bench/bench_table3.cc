@@ -40,10 +40,10 @@ runCell(ExperimentSuite &suite, PruneAlgo algo, int env)
         runScenario(spec, 0, 0, baseSeed());
 
     static const SuccessRate kNoRate;
-    static const SampleStats kNoStats;
+    static const StreamingStats kNoStats;
     const SuccessRate *sr = result.outcome("success");
-    const SampleStats *times = result.metric("build_cycles");
-    printRow(result.name().c_str(), sr ? *sr : kNoRate,
+    const StreamingStats *times = result.metric("build_cycles");
+    printRow(result.name.c_str(), sr ? *sr : kNoRate,
              times ? *times : kNoStats);
     suite.add(std::move(result));
 }

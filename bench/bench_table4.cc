@@ -58,10 +58,10 @@ runCell(ExperimentSuite &suite, const ExperimentConfig &cfg,
     ExperimentResult result = runner.run(fn);
 
     static const SuccessRate kNoRate;
-    static const SampleStats kNoStats;
+    static const StreamingStats kNoStats;
     const SuccessRate *sr = result.outcome("success");
-    const SampleStats *times = result.metric("time_cycles");
-    printRow(result.name().c_str(), sr ? *sr : kNoRate,
+    const StreamingStats *times = result.metric("time_cycles");
+    printRow(result.name.c_str(), sr ? *sr : kNoRate,
              times ? *times : kNoStats);
     suite.add(std::move(result));
     return suite.results().back();
@@ -153,7 +153,7 @@ runWholeSys(ExperimentSuite &suite, int algo_idx, int env)
                    cyclesToSec(out.elapsed) *
                        (static_cast<double>(kLinesPerPage) / sample));
     });
-    const SampleStats *extrapolated = result.metric("extrapolated_full_s");
+    const StreamingStats *extrapolated = result.metric("extrapolated_full_s");
     std::printf("  %-28s extrapolated full-system time: %.1f s\n", "",
                 extrapolated ? extrapolated->mean() : 0.0);
 }

@@ -58,8 +58,8 @@ runCell(ExperimentSuite &suite, MonitorKind kind)
         rec.outcome("detected", out.detectionRate > 0.5);
     });
 
-    const SampleStats *prime = result.metric("prime_cyc");
-    const SampleStats *probe = result.metric("probe_cyc");
+    const StreamingStats *prime = result.metric("prime_cyc");
+    const StreamingStats *probe = result.metric("probe_cyc");
     if (prime && probe && !prime->empty() && !probe->empty()) {
         std::printf("  %-10s prime %6.0f +- %5.0f cycles   probe %5.0f "
                     "+- %4.1f cycles\n",

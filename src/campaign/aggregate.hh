@@ -1,99 +1,19 @@
 /**
  * @file
- * Streaming cross-victim aggregate of a key-recovery campaign.
- *
- * The experiment harness keeps every trial's raw samples (SampleStats)
- * — exact, but O(fleet) memory, which caps campaigns at toy fleets.
- * CampaignAggregate is the fleet-scale replacement: per-metric
- * StreamingStats (compensated sum + Welford moments + deterministic
- * quantile sketch, O(1) memory each) and per-outcome SuccessRate
- * counters, folded strictly in trial order so the aggregate — and its
- * JSON — is a pure function of (spec, seed, fleet) at any worker
- * count.  The whole aggregate serialises to JSON and restores
- * bit-identically, which is what makes campaign checkpoints possible.
+ * Forwarding header that exists only for perfbench/, which includes
+ * it and names the aggregate CampaignAggregate.  The aggregate itself
+ * is the harness's TrialAggregate (harness/aggregate.hh); everything
+ * else includes that header.
  */
 
 #ifndef LLCF_CAMPAIGN_AGGREGATE_HH
 #define LLCF_CAMPAIGN_AGGREGATE_HH
 
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "common/stats.hh"
-#include "harness/experiment.hh"
-#include "harness/json.hh"
+#include "harness/aggregate.hh"
 
 namespace llcf {
 
-/**
- * Ordered streaming metric/outcome aggregates over campaign trials.
- * Key order is first-recorded order, exactly as the experiment
- * runner's trial-order merge produces it.
- */
-class CampaignAggregate
-{
-  public:
-    /** Trials folded in so far. */
-    std::size_t trials() const { return trials_; }
-
-    /** Fold one trial's recorded samples in (call in trial order). */
-    void fold(const TrialRecorder &rec);
-
-    /**
-     * Fold another aggregate in: its trials count as recorded after
-     * ours.  Deterministic given the fold order; campaign shards are
-     * always merged ascending.
-     */
-    void merge(const CampaignAggregate &other);
-
-    /** Aggregate for @p name, or nullptr if never recorded. */
-    const StreamingStats *metric(std::string_view name) const;
-
-    /** Success rate for @p name, or nullptr if never recorded. */
-    const SuccessRate *outcome(std::string_view name) const;
-
-    /** Metric aggregates in first-recorded order. */
-    const std::vector<std::pair<std::string, StreamingStats>> &
-    metrics() const
-    {
-        return metrics_;
-    }
-
-    /** Outcome aggregates in first-recorded order. */
-    const std::vector<std::pair<std::string, SuccessRate>> &
-    outcomes() const
-    {
-        return outcomes_;
-    }
-
-    /**
-     * The benchmark-entry members ExperimentResult::writeJsonMembers
-     * emits — name, trials, seed, metrics, outcomes — byte-identical
-     * to the exact accumulator's output for head-phase fleets, so the
-     * committed BENCH_e2e.json survives the streaming refactor.
-     */
-    void writeJsonMembers(JsonWriter &w, const std::string &name,
-                          std::uint64_t masterSeed) const;
-
-    /** Full value state as a JSON object (campaign checkpoints). */
-    void writeState(JsonWriter &w) const;
-
-    /**
-     * Rebuild an aggregate from a writeState() object.
-     * @return false (and fills @p error) on a malformed document.
-     */
-    static bool fromState(const JsonValue &v, CampaignAggregate &out,
-                          std::string *error);
-
-  private:
-    StreamingStats &statsFor(const std::string &name);
-    SuccessRate &rateFor(const std::string &name);
-
-    std::size_t trials_ = 0;
-    std::vector<std::pair<std::string, StreamingStats>> metrics_;
-    std::vector<std::pair<std::string, SuccessRate>> outcomes_;
-};
+using CampaignAggregate = TrialAggregate;
 
 } // namespace llcf
 

@@ -184,7 +184,7 @@ runForkedVictimTrial(CampaignWorld &world, const ScenarioSpec &spec,
 } // namespace
 
 CampaignSummary
-summarizeCampaign(const CampaignAggregate &aggregate)
+summarizeCampaign(const TrialAggregate &aggregate)
 {
     CampaignSummary s;
     s.fleet = aggregate.trials();
@@ -205,42 +205,14 @@ summarizeCampaign(const CampaignAggregate &aggregate)
     return s;
 }
 
-CampaignSummary
-summarizeCampaign(const ExperimentResult &experiment)
+std::vector<std::pair<std::string, double>>
+CampaignSummary::jsonMembers() const
 {
-    CampaignSummary s;
-    s.fleet = experiment.trials();
-    if (const SuccessRate *kr = experiment.outcome("key_recovered")) {
-        s.keysRecovered = kr->successes();
-        s.fleetSuccessRate = kr->rate();
-    }
-    if (const SampleStats *total = experiment.metric("total_cycles")) {
-        // The exact compensated sum — mean()*count round-trips the
-        // already-rounded mean and is off by ulps at fleet scale.
-        s.totalAttackCycles = total->sum();
-    }
-    s.cyclesPerRecoveredKey =
-        s.keysRecovered
-            ? s.totalAttackCycles / static_cast<double>(s.keysRecovered)
-            : std::numeric_limits<double>::quiet_NaN();
-    return s;
-}
-
-void
-CampaignResult::writeJson(JsonWriter &w) const
-{
-    w.beginObject();
-    aggregate.writeJsonMembers(w, name, masterSeed);
-    w.key("campaign").beginObject();
-    w.member("fleet", static_cast<std::uint64_t>(summary.fleet));
-    w.member("keys_recovered",
-             static_cast<std::uint64_t>(summary.keysRecovered));
-    w.member("fleet_success_rate", summary.fleetSuccessRate);
-    w.member("total_attack_cycles", summary.totalAttackCycles);
-    // NaN (no key recovered) serialises as an explicit null.
-    w.member("cycles_per_recovered_key", summary.cyclesPerRecoveredKey);
-    w.endObject();
-    w.endObject();
+    return {{"fleet", static_cast<double>(fleet)},
+            {"keys_recovered", static_cast<double>(keysRecovered)},
+            {"fleet_success_rate", fleetSuccessRate},
+            {"total_attack_cycles", totalAttackCycles},
+            {"cycles_per_recovered_key", cyclesPerRecoveredKey}};
 }
 
 KeyRecoveryCampaign::KeyRecoveryCampaign(ScenarioSpec spec)
@@ -273,18 +245,16 @@ KeyRecoveryCampaign::KeyRecoveryCampaign(ScenarioSpec spec)
 CampaignResult
 KeyRecoveryCampaign::run(const CampaignRunOptions &opts) const
 {
-    // wallSeconds is stdout-only progress info; writeJson omits it
+    // wallSeconds is stdout-only progress info; jsonMembers omits it
     // (campaign.hh), so no serialized byte depends on this read.
     // detlint: allow(wallclock) -- stdout-only wall time
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t fleet = opts.fleet ? opts.fleet : spec_.fleetSize;
-    const unsigned threads = resolveThreadCount(opts.threads);
 
     CampaignResult out;
     out.name = spec_.name;
-    out.trials = fleet;
     out.masterSeed = opts.masterSeed;
-    out.threadsUsed = threads;
+    out.threadsUsed = resolveThreadCount(opts.threads);
 
     // ---- resume: adopt the checkpointed aggregate, continue at the
     // recorded trial.  A missing file is a fresh start; a mismatched
@@ -301,7 +271,7 @@ KeyRecoveryCampaign::run(const CampaignRunOptions &opts) const
                       spec_.name.c_str(), err.c_str());
             if (cp.campaign != spec_.name || cp.fleet != fleet ||
                 cp.masterSeed != opts.masterSeed ||
-                cp.shardTrials != kCampaignShardTrials)
+                cp.shardTrials != kShardTrials)
                 fatal("campaign '%s': checkpoint %s belongs to a "
                       "different run (campaign '%s', fleet %llu, seed "
                       "%llu, shard %llu)",
@@ -318,45 +288,33 @@ KeyRecoveryCampaign::run(const CampaignRunOptions &opts) const
     // One token per run: recycled worker threads must not reuse a
     // world warmed for a different (spec, seed).
     const std::uint64_t token = ++campaignRunToken;
+    const ExperimentRunner::TrialFn victimTrial =
+        [&](TrialContext &ctx, TrialRecorder &rec) {
+            if (spec_.forkVictims)
+                runForkedVictimTrial(
+                    workerWorld(spec_, opts.masterSeed, token), spec_,
+                    ctx, rec);
+            else
+                runScenarioTrial(spec_, ctx, rec);
+        };
 
-    ThreadPool pool(threads);
-    std::size_t shardsRun = 0;
-    while (nextTrial < fleet) {
+    ThreadPool pool(out.threadsUsed);
+    for (std::size_t shardsRun = 0; nextTrial < fleet; ++shardsRun) {
         if (opts.stopAfterShards && shardsRun >= opts.stopAfterShards) {
             out.interrupted = true;
             break;
         }
-        const std::size_t shardEnd =
-            std::min(fleet, nextTrial + kCampaignShardTrials);
-        const std::size_t count = shardEnd - nextTrial;
-
-        // Per-trial slots, folded in trial order below: the aggregate
-        // is a function of (spec, seed, fleet) alone, whatever the
-        // worker count or schedule.
-        std::vector<TrialRecorder> slots(count);
-        pool.parallelFor(count, [&, nextTrial](std::size_t i) {
-            const std::size_t trial = nextTrial + i;
-            TrialContext ctx{trial, streamSeed(opts.masterSeed, trial),
-                             Rng::forStream(opts.masterSeed, trial)};
-            if (spec_.forkVictims) {
-                CampaignWorld &world =
-                    workerWorld(spec_, opts.masterSeed, token);
-                runForkedVictimTrial(world, spec_, ctx, slots[i]);
-            } else {
-                runScenarioTrial(spec_, ctx, slots[i]);
-            }
-        });
-        for (const TrialRecorder &slot : slots)
-            out.aggregate.fold(slot);
-        nextTrial = shardEnd;
-        ++shardsRun;
+        const std::size_t count = std::min(kShardTrials, fleet - nextTrial);
+        ExperimentRunner::runShard(pool, opts.masterSeed, nextTrial, count,
+                                   victimTrial, out.aggregate);
+        nextTrial += count;
 
         if (!opts.checkpointPath.empty()) {
             CampaignCheckpoint cp;
             cp.campaign = spec_.name;
             cp.fleet = fleet;
             cp.masterSeed = opts.masterSeed;
-            cp.shardTrials = kCampaignShardTrials;
+            cp.shardTrials = kShardTrials;
             cp.nextTrial = nextTrial;
             cp.aggregate = out.aggregate;
             std::string err;
@@ -367,6 +325,7 @@ KeyRecoveryCampaign::run(const CampaignRunOptions &opts) const
     }
 
     out.summary = summarizeCampaign(out.aggregate);
+    out.campaign = out.summary.jsonMembers();
     // Paired with the t0 read above; feeds the stdout-only
     // wallSeconds field, never the JSON.
     // detlint: allow(wallclock) -- stdout-only wall time
@@ -374,54 +333,6 @@ KeyRecoveryCampaign::run(const CampaignRunOptions &opts) const
     out.summary.wallSeconds =
         std::chrono::duration<double>(t1 - t0).count();
     return out;
-}
-
-CampaignSuite::CampaignSuite(std::string bench)
-    : bench_(std::move(bench))
-{
-}
-
-void
-CampaignSuite::contextValue(std::string key, double v)
-{
-    contextValues_.emplace_back(std::move(key), v);
-}
-
-void
-CampaignSuite::add(CampaignResult result)
-{
-    if (result.interrupted)
-        fatal("campaign suite '%s': refusing to serialise the "
-              "interrupted campaign '%s' — resume it to completion "
-              "first",
-              bench_.c_str(), result.name.c_str());
-    results_.push_back(std::move(result));
-}
-
-std::string
-CampaignSuite::toJson() const
-{
-    JsonWriter w;
-    w.beginObject();
-    w.key("context").beginObject();
-    w.member("bench", bench_);
-    w.member("base_seed", baseSeed());
-    w.member("full_scale", fullScale());
-    for (const auto &[key, v] : contextValues_)
-        w.member(key, v);
-    w.endObject();
-    w.key("benchmarks").beginArray();
-    for (const auto &r : results_)
-        r.writeJson(w);
-    w.endArray();
-    w.endObject();
-    return w.str();
-}
-
-std::string
-CampaignSuite::writeFile(const std::string &path) const
-{
-    return writeBenchDocument(bench_, toJson(), path);
 }
 
 } // namespace llcf

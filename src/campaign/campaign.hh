@@ -10,15 +10,16 @@
  * page offset inside its binary, its own noise environment and
  * (optionally) a request quota.
  *
- * Execution is sharded: trials run in fixed-width shards (one victim
- * is one trial), each shard fans across the worker pool into
- * per-trial slots, and slots fold into a streaming CampaignAggregate
- * strictly in trial order.  Shard width is thread-count-independent,
- * so the aggregate — and its BENCH_e2e.json serialisation — is
- * byte-identical for 1 or 8 worker threads (DESIGN.md §6, §9).  At
- * each shard boundary the runner can checkpoint the aggregate plus
- * the next trial index; a resumed campaign finishes with JSON
- * byte-identical to an uninterrupted one.
+ * One victim is one trial, and trials run through the harness's
+ * shard step (ExperimentRunner::runShard) exactly as every other
+ * experiment's do: fixed kShardTrials-wide shards, per-trial slots,
+ * a trial-ordered fold into the streaming TrialAggregate.  The
+ * aggregate — and its BENCH_e2e.json serialisation — is therefore
+ * byte-identical for 1 or 8 worker threads (DESIGN.md §6, §9).  What
+ * the campaign adds is the shard loop around that step: at each
+ * shard boundary it can checkpoint the aggregate plus the next trial
+ * index, and a resumed campaign finishes with JSON byte-identical to
+ * an uninterrupted one.
  *
  * Victims run on one of two paths.  The rebuild path is the scenario
  * pipeline's Campaign stage (runScenarioTrial): every trial builds its
@@ -35,19 +36,13 @@
 #define LLCF_CAMPAIGN_CAMPAIGN_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "campaign/aggregate.hh"
+#include "harness/experiment.hh"
 #include "scenario/scenario.hh"
 
 namespace llcf {
-
-/**
- * Trials per campaign shard.  Fixed (never derived from the thread
- * count) so checkpoint boundaries — and therefore resumed runs — are
- * identical at any parallelism.
- */
-constexpr std::size_t kCampaignShardTrials = 64;
 
 /** Cross-victim aggregate of one campaign run. */
 struct CampaignSummary
@@ -76,33 +71,28 @@ struct CampaignSummary
     /** Host-side wall clock of the run; stdout only, never
      *  serialised (it would break byte-determinism). */
     double wallSeconds = 0.0;
+
+    /** The entry's "campaign" object members, in order (every field
+     *  but wallSeconds; a NaN cost per key serialises as null). */
+    std::vector<std::pair<std::string, double>> jsonMembers() const;
 };
 
-/** One campaign's streaming aggregates plus the fleet summary. */
-struct CampaignResult
+/**
+ * One campaign run: the experiment result (name, seed, workers, the
+ * streaming aggregate and, once finished, its "campaign" object) plus
+ * the fleet summary and the interrupt flag.
+ */
+struct CampaignResult : ExperimentResult
 {
-    std::string name;              //!< scenario name
-    std::size_t trials = 0;        //!< fleet size of the (full) run
-    std::uint64_t masterSeed = 0;  //!< root of the per-victim streams
-    unsigned threadsUsed = 0;      //!< workers (not serialised)
-    CampaignAggregate aggregate;   //!< per-victim metrics/outcomes
-
     /**
      * True when the run stopped at a shard boundary before the fleet
      * completed (CampaignRunOptions::stopAfterShards).  An
-     * interrupted result must not be serialised as a finished BENCH
-     * entry; resume from the checkpoint instead.
+     * interrupted result must not be added to a suite as a finished
+     * BENCH entry; resume from the checkpoint instead.
      */
     bool interrupted = false;
 
     CampaignSummary summary;
-
-    /**
-     * One "benchmarks" array entry: the experiment members (name,
-     * trials, seed, metrics, outcomes) plus a "campaign" object with
-     * the fleet summary.  wallSeconds is deliberately omitted.
-     */
-    void writeJson(JsonWriter &w) const;
 };
 
 /**
@@ -114,11 +104,7 @@ struct CampaignResult
  * leaving the corresponding summary fields at their explicit
  * defaults.  Pure, so tests can feed synthetic aggregates.
  */
-CampaignSummary summarizeCampaign(const CampaignAggregate &aggregate);
-
-/** Same derivation from an exact experiment aggregate (the
- *  scenarios suite runs campaign cells through the plain harness). */
-CampaignSummary summarizeCampaign(const ExperimentResult &experiment);
+CampaignSummary summarizeCampaign(const TrialAggregate &aggregate);
 
 /** How a campaign run executes (fleet, workers, checkpointing). */
 struct CampaignRunOptions
@@ -178,41 +164,6 @@ class KeyRecoveryCampaign
 
   private:
     ScenarioSpec spec_;
-};
-
-/**
- * An ordered collection of campaign results destined for one
- * BENCH_e2e.json document (mirrors ExperimentSuite).
- */
-class CampaignSuite
-{
-  public:
-    /** @param bench Bench identifier, e.g. "e2e". */
-    explicit CampaignSuite(std::string bench);
-
-    /** Numeric "context" entry (e.g. the CI gate's tolerance). */
-    void contextValue(std::string key, double v);
-
-    /** Append one result (rendered in insertion order). */
-    void add(CampaignResult result);
-
-    const std::vector<CampaignResult> &results() const
-    {
-        return results_;
-    }
-
-    /** Whole-suite JSON document (context + benchmarks array). */
-    std::string toJson() const;
-
-    /** Write toJson() to @p path or the default BENCH destination
-     *  (see writeBenchDocument). Returns the path, or "" on I/O
-     *  failure. */
-    std::string writeFile(const std::string &path = "") const;
-
-  private:
-    std::string bench_;
-    std::vector<std::pair<std::string, double>> contextValues_;
-    std::vector<CampaignResult> results_;
 };
 
 } // namespace llcf

@@ -1,5 +1,6 @@
 #include "checkpoint.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -58,38 +59,47 @@ bool
 loadCampaignCheckpoint(const std::string &path, CampaignCheckpoint &out,
                        std::string *error)
 {
+    auto reject = [&](const std::string &why) {
+        if (error)
+            *error = path + ": " + why;
+        return false;
+    };
     JsonValue doc;
     if (!loadJsonFile(path, doc, error))
         return false;
-    if (!doc.isObject()) {
-        if (error)
-            *error = path + ": checkpoint is not a JSON object";
-        return false;
-    }
-    const JsonValue *campaign = doc.find("campaign");
-    const JsonValue *fleet = doc.find("fleet");
-    const JsonValue *seed = doc.find("master_seed");
-    const JsonValue *shard = doc.find("shard_trials");
-    const JsonValue *next = doc.find("next_trial");
+    if (!doc.isObject())
+        return reject("checkpoint is not a JSON object");
+    std::string why;
+    const std::string *campaign = jsonStringField(doc, "campaign", &why);
+    const std::string *seed = jsonStringField(doc, "master_seed", &why);
     const JsonValue *agg = doc.find("aggregate");
-    if (!campaign || !fleet || !fleet->isNumber() || !seed ||
-        !shard || !shard->isNumber() || !next || !next->isNumber() ||
-        !agg) {
-        if (error)
-            *error = path + ": checkpoint is missing required fields";
-        return false;
-    }
-    out.campaign = campaign->asString();
-    out.fleet = static_cast<std::uint64_t>(fleet->asNumber());
-    out.masterSeed = std::strtoull(seed->asString().c_str(), nullptr, 10);
-    out.shardTrials = static_cast<std::uint64_t>(shard->asNumber());
-    out.nextTrial = static_cast<std::uint64_t>(next->asNumber());
-    std::string aggError;
-    if (!CampaignAggregate::fromState(*agg, out.aggregate, &aggError)) {
-        if (error)
-            *error = path + ": " + aggError;
-        return false;
-    }
+    if (!campaign || !seed ||
+        !jsonCountField(doc, "fleet", out.fleet, &why) ||
+        !jsonCountField(doc, "shard_trials", out.shardTrials, &why) ||
+        !jsonCountField(doc, "next_trial", out.nextTrial, &why))
+        return reject(why);
+    if (!agg)
+        return reject("checkpoint has no aggregate");
+    out.campaign = *campaign;
+    // The seed is a full 64-bit value carried as a decimal string.
+    errno = 0;
+    out.masterSeed = std::strtoull(seed->c_str(), nullptr, 10);
+    if (seed->empty() ||
+        seed->find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE)
+        return reject("master_seed is not a 64-bit decimal");
+    if (!TrialAggregate::fromState(*agg, out.aggregate, &why))
+        return reject(why);
+    // The aggregate must hold exactly the trials before next_trial,
+    // and a run only stops at a shard boundary or at its fleet's end.
+    if (out.nextTrial != out.aggregate.trials())
+        return reject("next_trial differs from the aggregate's trials");
+    if (out.nextTrial > out.fleet)
+        return reject("next_trial is past the fleet");
+    if (out.shardTrials == 0)
+        return reject("shard_trials is 0");
+    if (out.nextTrial % out.shardTrials != 0 && out.nextTrial != out.fleet)
+        return reject("next_trial is off a shard boundary");
     return true;
 }
 

@@ -20,7 +20,7 @@
 
 #include <string>
 
-#include "campaign/aggregate.hh"
+#include "harness/aggregate.hh"
 
 namespace llcf {
 
@@ -32,7 +32,7 @@ struct CampaignCheckpoint
     std::uint64_t masterSeed = 0;  //!< root of the per-victim streams
     std::uint64_t shardTrials = 0; //!< shard width the run uses
     std::uint64_t nextTrial = 0;   //!< first trial not yet aggregated
-    CampaignAggregate aggregate;   //!< completed trials, in order
+    TrialAggregate aggregate;      //!< completed trials, in order
 };
 
 /** The checkpoint as a JSON document. */
@@ -47,7 +47,11 @@ bool writeCampaignCheckpoint(const std::string &path,
                              std::string *error = nullptr);
 
 /**
- * Load a checkpoint written by writeCampaignCheckpoint.
+ * Load a checkpoint written by writeCampaignCheckpoint.  The file is
+ * untrusted input: besides the aggregate's own checks
+ * (TrialAggregate::fromState), next_trial must equal the aggregate's
+ * trials, lie within the fleet, and sit on a shard boundary unless it
+ * is the fleet's end.
  * @return false and fills @p error when the file is unreadable or
  *         malformed.
  */

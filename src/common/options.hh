@@ -2,8 +2,11 @@
  * @file
  * Environment-variable driven experiment knobs.
  *
- * Benchmarks and examples read scale/seed knobs from the environment so
- * google-benchmark binaries need no custom argv handling:
+ * Benchmarks read scale/seed knobs from the environment, so library
+ * code deep inside a trial sees the same settings without threading
+ * them through every call.  The bench CLI flags (--seed=, --trials=,
+ * --threads=, --json-out=, --full-scale, --counters) only set these
+ * variables (benchParseArgs, bench/bench_common.cc):
  *
  *   LLCF_FULL_SCALE=1  run experiments at full paper scale
  *   LLCF_SEED=<n>      base RNG seed

@@ -326,9 +326,48 @@ StreamingStats::state() const
     return s;
 }
 
+bool
+StreamingStats::validState(const StreamingStatsState &state,
+                           std::string *error)
+{
+    auto reject = [error](const char *why) {
+        if (error)
+            *error = why;
+        return false;
+    };
+    if (state.head.size() != std::min<std::uint64_t>(state.count,
+                                                     kHeadCapacity))
+        return reject("head size is not min(count, head capacity)");
+    if (state.parity.size() != state.levels.size())
+        return reject("parity and levels differ in size");
+    if (state.levels.size() > 64)
+        return reject("more sketch levels than a 64-bit count needs");
+    // Every compaction trades 2k items at level L for k at L+1, so the
+    // level weights (items << L) always add up to the sample count.
+    // The running check cannot overflow: items <= (count - weight) >> L
+    // keeps weight <= count.
+    std::uint64_t weight = 0;
+    for (std::size_t level = 0; level < state.levels.size(); ++level) {
+        const std::size_t items = state.levels[level].size();
+        if (state.parity[level] > 1)
+            return reject("sketch parity is not 0 or 1");
+        if (items >= kSketchBuf)
+            return reject("sketch level at or above compactor capacity");
+        if (items > (state.count - weight) >> level)
+            return reject("sketch weight exceeds the sample count");
+        weight += static_cast<std::uint64_t>(items) << level;
+    }
+    if (weight != state.count)
+        return reject("sketch weight differs from the sample count");
+    return true;
+}
+
 StreamingStats
 StreamingStats::fromState(const StreamingStatsState &state)
 {
+    std::string why;
+    if (!validState(state, &why))
+        panic("StreamingStats::fromState: %s", why.c_str());
     StreamingStats out;
     out.count_ = state.count;
     out.sum_ = CompensatedSum::fromState(state.sum, state.sumComp);

@@ -65,11 +65,12 @@ class CompensatedSum
 /**
  * Accumulates scalar samples and reports order statistics on demand.
  *
- * Samples are kept (not streamed): this is the *exact* accumulator,
- * for experiments that need precise medians/percentiles (and for the
- * committed BENCH_*.json whose bytes are pinned to it).  Aggregation
- * paths that must scale to 10^5+ samples use StreamingStats below,
- * which answers the same queries in O(1) memory per metric.
+ * Samples are kept (not streamed): this is the *exact* per-trial
+ * accumulator, for code that needs one trial's raw samples (an
+ * E2EResult's recovered fractions, a monitor's probe latencies, the
+ * covert channel's timings).  Trials fold into the harness's
+ * TrialAggregate, whose StreamingStats answers the same queries in
+ * O(1) memory per metric.
  */
 class SampleStats
 {
@@ -216,7 +217,19 @@ class StreamingStats
     /** Value snapshot for checkpoint serialisation. */
     StreamingStatsState state() const;
 
-    /** Rebuild an accumulator from a checkpointed state. */
+    /**
+     * Check that @p state is one add() can reach: a head of
+     * min(count, kHeadCapacity) samples, one parity bit (0 or 1) per
+     * sketch level, every level below the compactor capacity, and
+     * level weights summing to count.  Checkpoints are read from disk,
+     * so a state that breaks these is rejected, never folded into.
+     * @return false (and fills @p error) on the first broken invariant.
+     */
+    static bool validState(const StreamingStatsState &state,
+                           std::string *error);
+
+    /** Rebuild an accumulator from a checkpointed state.
+     *  @pre validState(state) (panics otherwise) */
     static StreamingStats fromState(const StreamingStatsState &state);
 
   private:

@@ -1,5 +1,6 @@
 #include "experiment.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -9,63 +10,14 @@
 namespace llcf {
 
 void
-TrialRecorder::metric(std::string_view name, double v)
-{
-    metrics_.emplace_back(std::string(name), v);
-}
-
-void
-TrialRecorder::outcome(std::string_view name, bool success)
-{
-    outcomes_.emplace_back(std::string(name), success);
-}
-
-const SampleStats *
-ExperimentResult::metric(std::string_view name) const
-{
-    for (const auto &[n, stats] : metrics_) {
-        if (n == name)
-            return &stats;
-    }
-    return nullptr;
-}
-
-const SuccessRate *
-ExperimentResult::outcome(std::string_view name) const
-{
-    for (const auto &[n, sr] : outcomes_) {
-        if (n == name)
-            return &sr;
-    }
-    return nullptr;
-}
-
-void
 ExperimentResult::writeJson(JsonWriter &w) const
 {
     w.beginObject();
-    writeJsonMembers(w);
-    w.endObject();
-}
-
-void
-ExperimentResult::writeJsonMembers(JsonWriter &w) const
-{
-    w.member("name", name_);
-    w.member("trials", static_cast<std::uint64_t>(trials_));
-    w.member("seed", masterSeed_);
-    w.key("metrics").beginObject();
-    for (const auto &[name, stats] : metrics_) {
-        w.key(name);
-        writeStatsObject(w, stats);
-    }
-    w.endObject();
-    w.key("outcomes").beginObject();
-    for (const auto &[name, sr] : outcomes_) {
-        w.key(name).beginObject();
-        w.member("trials", static_cast<std::uint64_t>(sr.trials()));
-        w.member("successes", static_cast<std::uint64_t>(sr.successes()));
-        w.member("rate", sr.rate());
+    aggregate.writeJsonMembers(w, name, masterSeed);
+    if (!campaign.empty()) {
+        w.key("campaign").beginObject();
+        for (const auto &[key, v] : campaign)
+            w.member(key, v);
         w.endObject();
     }
     w.endObject();
@@ -76,51 +28,37 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig cfg)
 {
 }
 
+void
+ExperimentRunner::runShard(ThreadPool &pool, std::uint64_t masterSeed,
+                           std::size_t first, std::size_t count,
+                           const TrialFn &fn, TrialAggregate &aggregate)
+{
+    // One slot per trial; workers never touch the shared aggregate.
+    std::vector<TrialRecorder> slots(count);
+    pool.parallelFor(count, [&](std::size_t i) {
+        const std::size_t trial = first + i;
+        TrialContext ctx{trial, streamSeed(masterSeed, trial),
+                         Rng::forStream(masterSeed, trial)};
+        fn(ctx, slots[i]);
+    });
+    // Fold in trial order: aggregate content and key order are then
+    // functions of (seed, trials) alone, independent of scheduling.
+    for (const TrialRecorder &slot : slots)
+        aggregate.fold(slot);
+}
+
 ExperimentResult
 ExperimentRunner::run(const TrialFn &fn) const
 {
-    const unsigned threads = resolveThreadCount(cfg_.threads);
-
-    // One slot per trial; workers never touch shared aggregates.
-    std::vector<TrialRecorder> slots(cfg_.trials);
-
-    ThreadPool pool(threads);
-    pool.parallelFor(cfg_.trials, [&](std::size_t i) {
-        TrialContext ctx{i, streamSeed(cfg_.masterSeed, i),
-                         Rng::forStream(cfg_.masterSeed, i)};
-        fn(ctx, slots[i]);
-    });
-
     ExperimentResult result;
-    result.name_ = cfg_.name;
-    result.trials_ = cfg_.trials;
-    result.threadsUsed_ = threads;
-    result.masterSeed_ = cfg_.masterSeed;
-
-    // Merge in trial order: aggregate content and key order are then
-    // functions of (seed, trials) alone, independent of scheduling.
-    auto statsFor = [&result](const std::string &name) -> SampleStats & {
-        for (auto &[n, stats] : result.metrics_) {
-            if (n == name)
-                return stats;
-        }
-        result.metrics_.emplace_back(name, SampleStats{});
-        return result.metrics_.back().second;
-    };
-    auto rateFor = [&result](const std::string &name) -> SuccessRate & {
-        for (auto &[n, sr] : result.outcomes_) {
-            if (n == name)
-                return sr;
-        }
-        result.outcomes_.emplace_back(name, SuccessRate{});
-        return result.outcomes_.back().second;
-    };
-    for (const auto &slot : slots) {
-        for (const auto &[name, v] : slot.metrics_)
-            statsFor(name).add(v);
-        for (const auto &[name, ok] : slot.outcomes_)
-            rateFor(name).add(ok);
-    }
+    result.name = cfg_.name;
+    result.masterSeed = cfg_.masterSeed;
+    result.threadsUsed = resolveThreadCount(cfg_.threads);
+    ThreadPool pool(result.threadsUsed);
+    for (std::size_t first = 0; first < cfg_.trials; first += kShardTrials)
+        runShard(pool, cfg_.masterSeed, first,
+                 std::min(kShardTrials, cfg_.trials - first), fn,
+                 result.aggregate);
     return result;
 }
 

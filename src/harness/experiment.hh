@@ -1,17 +1,19 @@
 /**
  * @file
- * Deterministic parallel experiment runner.
+ * Deterministic parallel experiment runner: the one place trials run.
  *
  * An experiment is N independent trials of one procedure (build an
- * eviction set, monitor a victim, ...).  The runner fans trials across
- * a thread pool, hands each trial its own positionally-derived RNG
- * stream (streamSeed(master, trial)), buffers every trial's recorded
- * samples in a per-trial slot, and only after all workers join merges
- * the slots *in trial order* into SampleStats / SuccessRate
- * aggregates.  Consequently the aggregate — and the JSON serialisation
- * of it — is bit-identical whatever the worker count or OS schedule:
+ * eviction set, monitor a victim, attack one fleet victim, ...).  The
+ * runner works in fixed kShardTrials-wide shards: each shard fans its
+ * trials across a thread pool, hands each trial its own
+ * positionally-derived RNG stream (streamSeed(master, trial)) and its
+ * own TrialRecorder slot, and only after the shard's workers finish
+ * folds the slots *in trial order* into one TrialAggregate.  The
+ * aggregate — and the JSON serialisation of it — is therefore
+ * bit-identical whatever the worker count or OS schedule:
  * `LLCF_THREADS=1` and `LLCF_THREADS=8` runs of a bench produce the
- * same BENCH_*.json.
+ * same BENCH_*.json.  Fleet campaigns (src/campaign/) drive the same
+ * shard step one shard at a time, checkpointing between shards.
  */
 
 #ifndef LLCF_HARNESS_EXPERIMENT_HH
@@ -21,13 +23,25 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "harness/aggregate.hh"
 #include "harness/json.hh"
 
 namespace llcf {
+
+class ThreadPool;
+
+/**
+ * Trials per shard.  Fixed (never derived from the thread count) so
+ * shard boundaries — and the campaign checkpoints written at them —
+ * are identical at any parallelism.  Checkpoints record it and refuse
+ * to resume at another width, so it must stay 64.
+ */
+constexpr std::size_t kShardTrials = 64;
 
 /** Identity and per-trial randomness of one running trial. */
 struct TrialContext
@@ -35,41 +49,6 @@ struct TrialContext
     std::size_t index; //!< trial number in [0, trials)
     std::uint64_t seed; //!< this trial's stream seed
     Rng rng;            //!< generator already seeded with @p seed
-};
-
-/**
- * Per-trial sample sink.  Metrics accumulate scalar samples (a name
- * may be recorded any number of times per trial); outcomes accumulate
- * boolean trial results into success rates.
- */
-class TrialRecorder
-{
-  public:
-    /** Record one scalar sample under @p name. */
-    void metric(std::string_view name, double v);
-
-    /** Record one boolean outcome under @p name. */
-    void outcome(std::string_view name, bool success);
-
-    /** Recorded samples in record order (campaign shard folding). */
-    const std::vector<std::pair<std::string, double>> &
-    metrics() const
-    {
-        return metrics_;
-    }
-
-    /** Recorded outcomes in record order (campaign shard folding). */
-    const std::vector<std::pair<std::string, bool>> &
-    outcomes() const
-    {
-        return outcomes_;
-    }
-
-  private:
-    friend class ExperimentRunner;
-
-    std::vector<std::pair<std::string, double>> metrics_;
-    std::vector<std::pair<std::string, bool>> outcomes_;
 };
 
 /** Configuration of one experiment run. */
@@ -82,61 +61,56 @@ struct ExperimentConfig
 };
 
 /** Aggregated result of one experiment. */
-class ExperimentResult
+struct ExperimentResult
 {
-  public:
-    const std::string &name() const { return name_; }
-    std::size_t trials() const { return trials_; }
-    std::uint64_t masterSeed() const { return masterSeed_; }
+    std::string name;             //!< row label
+    std::uint64_t masterSeed = 0; //!< root of the per-trial streams
+    unsigned threadsUsed = 0;     //!< workers used (not serialised)
+    TrialAggregate aggregate;     //!< every trial, folded in order
 
-    /** Worker threads actually used (not serialised to JSON). */
-    unsigned threadsUsed() const { return threadsUsed_; }
+    /**
+     * Members of a trailing "campaign" object, in order: a fleet
+     * summary (src/campaign/).  Empty for every other experiment,
+     * which then writes no such object.
+     */
+    std::vector<std::pair<std::string, double>> campaign;
+
+    std::size_t trials() const { return aggregate.trials(); }
 
     /** Aggregate for @p name, or nullptr if never recorded. */
-    const SampleStats *metric(std::string_view name) const;
-
-    /** Success rate for @p name, or nullptr if never recorded. */
-    const SuccessRate *outcome(std::string_view name) const;
-
-    /** Metric aggregates in first-recorded order. */
-    const std::vector<std::pair<std::string, SampleStats>> &
-    metrics() const
+    const StreamingStats *
+    metric(std::string_view name) const
     {
-        return metrics_;
+        return aggregate.metric(name);
     }
 
-    /** Outcome aggregates in first-recorded order. */
+    /** Success rate for @p name, or nullptr if never recorded. */
+    const SuccessRate *
+    outcome(std::string_view name) const
+    {
+        return aggregate.outcome(name);
+    }
+
+    const std::vector<std::pair<std::string, StreamingStats>> &
+    metrics() const
+    {
+        return aggregate.metrics();
+    }
+
     const std::vector<std::pair<std::string, SuccessRate>> &
     outcomes() const
     {
-        return outcomes_;
+        return aggregate.outcomes();
     }
 
     /**
      * Serialise as one entry of a BENCH_*.json "benchmarks" array:
-     * name, trials, seed, then {count, mean, stddev, min, p10, median,
-     * p90, max} per metric and {trials, successes, rate} per outcome.
-     * Thread count is deliberately omitted so runs at different
-     * parallelism stay byte-identical.
+     * the aggregate's members (TrialAggregate::writeJsonMembers), then
+     * the "campaign" object when there is one.  Thread count is
+     * deliberately omitted so runs at different parallelism stay
+     * byte-identical.
      */
     void writeJson(JsonWriter &w) const;
-
-    /**
-     * The members of writeJson() without the surrounding object, for
-     * wrappers (e.g. campaign results) that append members of their
-     * own to the same benchmark entry.
-     */
-    void writeJsonMembers(JsonWriter &w) const;
-
-  private:
-    friend class ExperimentRunner;
-
-    std::string name_;
-    std::size_t trials_ = 0;
-    unsigned threadsUsed_ = 0;
-    std::uint64_t masterSeed_ = 0;
-    std::vector<std::pair<std::string, SampleStats>> metrics_;
-    std::vector<std::pair<std::string, SuccessRate>> outcomes_;
 };
 
 /**
@@ -153,10 +127,21 @@ class ExperimentRunner
     const ExperimentConfig &config() const { return cfg_; }
 
     /**
-     * Execute all trials of @p fn and aggregate.  A trial that throws
-     * aborts the run by rethrowing after the pool drains.
+     * Execute all trials of @p fn, shard by shard, and aggregate.  A
+     * trial that throws aborts the run by rethrowing after the pool
+     * drains.
      */
     ExperimentResult run(const TrialFn &fn) const;
+
+    /**
+     * The shard step: run trials [first, first + count) of @p fn on
+     * @p pool, each into its own recorder slot, then fold the slots
+     * into @p aggregate in trial order.  @p count is at most
+     * kShardTrials; callers advance @p first by whole shards.
+     */
+    static void runShard(ThreadPool &pool, std::uint64_t masterSeed,
+                         std::size_t first, std::size_t count,
+                         const TrialFn &fn, TrialAggregate &aggregate);
 
   private:
     ExperimentConfig cfg_;

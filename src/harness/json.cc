@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -249,27 +250,46 @@ loadJsonFile(const std::string &path, JsonValue &out,
     return true;
 }
 
-void
-writeStatsObject(JsonWriter &w, const SampleStats &stats)
+namespace {
+
+bool
+jsonFail(std::string *error, std::string why)
 {
-    w.beginObject();
-    w.member("count", static_cast<std::uint64_t>(stats.count()));
-    if (stats.empty()) {
-        // No samples: moments and quantiles do not exist.  count: 0
-        // plus explicit nulls keeps the object shape machine-checkable
-        // without ever serialising NaN (invalid JSON) or a garbage 0.
-        w.key("mean").null();
-        w.key("stddev").null();
-    } else {
-        w.member("mean", stats.mean());
-        w.member("stddev", stats.stddev());
-        w.member("min", stats.min());
-        w.member("p10", stats.percentile(10.0));
-        w.member("median", stats.median());
-        w.member("p90", stats.percentile(90.0));
-        w.member("max", stats.max());
+    if (error)
+        *error = std::move(why);
+    return false;
+}
+
+} // namespace
+
+bool
+jsonCountField(const JsonValue &obj, const char *key, std::uint64_t &out,
+               std::string *error)
+{
+    // 2^53: beyond it doubles skip integers, so no writer emits more.
+    constexpr double kMaxCount = 9007199254740992.0;
+    const JsonValue *v = obj.find(key);
+    if (!v || !v->isNumber())
+        return jsonFail(error, std::string("field '") + key +
+                                   "' is missing or not a number");
+    const double x = v->asNumber();
+    if (!(x >= 0.0 && x <= kMaxCount) || x != std::floor(x))
+        return jsonFail(error, std::string("field '") + key +
+                                   "' is not a count in [0, 2^53]");
+    out = static_cast<std::uint64_t>(x);
+    return true;
+}
+
+const std::string *
+jsonStringField(const JsonValue &obj, const char *key, std::string *error)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v || v->kind() != JsonValue::Kind::String) {
+        jsonFail(error, std::string("field '") + key +
+                            "' is missing or not a string");
+        return nullptr;
     }
-    w.endObject();
+    return &v->asString();
 }
 
 void
@@ -278,6 +298,9 @@ writeStatsObject(JsonWriter &w, const StreamingStats &stats)
     w.beginObject();
     w.member("count", static_cast<std::uint64_t>(stats.count()));
     if (stats.empty()) {
+        // No samples: moments and quantiles do not exist.  count: 0
+        // plus explicit nulls keeps the object shape machine-checkable
+        // without ever serialising NaN (invalid JSON) or a garbage 0.
         w.key("mean").null();
         w.key("stddev").null();
     } else {

@@ -160,23 +160,32 @@ bool parseJson(std::string_view text, JsonValue &out,
 bool loadJsonFile(const std::string &path, JsonValue &out,
                   std::string *error = nullptr);
 
+/**
+ * Read a non-negative integral count no larger than 2^53 (the range a
+ * JSON number carries exactly) from member @p key of @p obj.
+ * @return false (and fills @p error) when it is missing, not a
+ *         number, fractional, negative or too large.
+ */
+bool jsonCountField(const JsonValue &obj, const char *key,
+                    std::uint64_t &out, std::string *error);
+
+/**
+ * The string member @p key of @p obj, or nullptr (filling @p error)
+ * when it is missing or not a string.
+ */
+const std::string *jsonStringField(const JsonValue &obj, const char *key,
+                                   std::string *error);
+
 /** JSON string escaping (control chars, quote, backslash). */
 std::string jsonEscape(std::string_view s);
 
 /**
- * Serialise a SampleStats aggregate the way every BENCH_*.json
+ * Serialise a StreamingStats aggregate the way every BENCH_*.json
  * stores one: {count, mean, stddev, min, p10, median, p90, max}.
  * An *empty* aggregate — e.g. the bit-error rate of an all-miss
  * end-to-end run — keeps count (0) and writes explicit nulls for
  * mean/stddev while omitting the order statistics, so no NaN or
  * garbage quantile ever reaches a JSON document.
- */
-void writeStatsObject(JsonWriter &w, const SampleStats &stats);
-
-/**
- * Same object shape for a StreamingStats aggregate.  While the
- * accumulator is still in its exact head phase (all committed smoke
- * fleets are) the emitted bytes match the SampleStats overload.
  */
 void writeStatsObject(JsonWriter &w, const StreamingStats &stats);
 

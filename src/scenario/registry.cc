@@ -64,6 +64,31 @@ campaignBase(const char *name, const char *description,
 }
 
 /**
+ * Defense e2e matrix skeleton: a full Step 1-3 attack on the tiny
+ * host.  Defended cells time out instead of completing: a blocked
+ * eviction signal burns the whole scan timeout per training trace and
+ * per scanned set, and a partition burns the whole per-set
+ * construction budget for every set in the scan group, so the
+ * undefended ~ms budgets are trimmed hard (still >10x headroom over
+ * the observed undefended costs) and training is kept to a dozen
+ * traces — the same knobs on every cell of the matrix, baseline row
+ * included, so overheads stay comparable.
+ */
+ScenarioSpec
+defenseE2eBase(const char *name, const char *description)
+{
+    ScenarioSpec s = base(name, description, ScenarioStage::EndToEnd,
+                          ScenarioMachine::TinyTest, 2, ReplKind::LRU,
+                          "silent", PruneAlgo::BinS);
+    s.defaultTrials = 2;
+    s.scanTimeoutSec = 0.1;
+    s.evsetBudgetMs = 1.0;
+    s.trainTargetTraces = 6;
+    s.trainNontargetTraces = 12;
+    return s;
+}
+
+/**
  * Calibration skeleton: Step-0-only scenarios measuring blind
  * topology recovery accuracy and cost (the calib suite).
  */
@@ -320,24 +345,9 @@ makeBuiltins()
     // "none" cells set measure so the def_* series exists as a
     // same-shaped reference row for overhead comparisons.
     {
-        ScenarioSpec s = base(
+        ScenarioSpec s = defenseE2eBase(
             "defense-none-tiny-e2e",
-            "Undefended baseline row for the tiny e2e defense matrix",
-            St::EndToEnd, M::TinyTest, 2, R::LRU, "silent", A::BinS);
-        s.defaultTrials = 2;
-        // Defended cells time out instead of completing: a blocked
-        // eviction signal burns the whole scan timeout per training
-        // trace and per scanned set, and a partition burns the whole
-        // per-set construction budget for every set in the scan
-        // group, so the undefended ~ms budgets are trimmed hard
-        // (still >10x headroom over the observed undefended costs)
-        // and training is kept to a dozen traces — the same knobs on
-        // every cell of the matrix, baseline row included, so
-        // overheads stay comparable.
-        s.scanTimeoutSec = 0.1;
-        s.evsetBudgetMs = 1.0;
-        s.trainTargetTraces = 6;
-        s.trainNontargetTraces = 12;
+            "Undefended baseline row for the tiny e2e defense matrix");
         s.defense.measure = true;
         s.expect = {Ex::Series::OutcomeRate, "target_correct",
                     Ex::Cmp::AtLeast, 0.50,
@@ -349,70 +359,28 @@ makeBuiltins()
         // CEASER with a static key: the keyed index hash alone does
         // not stop the attack — congruence is scrambled but stable,
         // so eviction sets still build and still evict.
-        ScenarioSpec s = base(
+        ScenarioSpec s = defenseE2eBase(
             "defense-rekey-off-tiny-e2e",
-            "Static-key CEASER: keyed index hash, never re-keyed",
-            St::EndToEnd, M::TinyTest, 2, R::LRU, "silent", A::BinS);
-        s.defaultTrials = 2;
-        // Defended cells time out instead of completing: a blocked
-        // eviction signal burns the whole scan timeout per training
-        // trace and per scanned set, and a partition burns the whole
-        // per-set construction budget for every set in the scan
-        // group, so the undefended ~ms budgets are trimmed hard
-        // (still >10x headroom over the observed undefended costs)
-        // and training is kept to a dozen traces — the same knobs on
-        // every cell of the matrix, baseline row included, so
-        // overheads stay comparable.
-        s.scanTimeoutSec = 0.1;
-        s.evsetBudgetMs = 1.0;
-        s.trainTargetTraces = 6;
-        s.trainNontargetTraces = 12;
+            "Static-key CEASER: keyed index hash, never re-keyed");
         s.defense.kind = DefenseKind::KeyedRekey;
         s.defense.rekeyIntervalMs = 0.0;
+        s.expect = {Ex::Series::OutcomeRate, "target_correct",
+                    Ex::Cmp::AtLeast, 0.50,
+                    "a static keyed index hash now stops the attack"};
         reg.add(s);
     }
     {
-        ScenarioSpec s = base(
+        ScenarioSpec s = defenseE2eBase(
             "defense-rekey-slow-tiny-e2e",
-            "Keyed index hash re-keyed every 500 us of virtual time",
-            St::EndToEnd, M::TinyTest, 2, R::LRU, "silent", A::BinS);
-        s.defaultTrials = 2;
-        // Defended cells time out instead of completing: a blocked
-        // eviction signal burns the whole scan timeout per training
-        // trace and per scanned set, and a partition burns the whole
-        // per-set construction budget for every set in the scan
-        // group, so the undefended ~ms budgets are trimmed hard
-        // (still >10x headroom over the observed undefended costs)
-        // and training is kept to a dozen traces — the same knobs on
-        // every cell of the matrix, baseline row included, so
-        // overheads stay comparable.
-        s.scanTimeoutSec = 0.1;
-        s.evsetBudgetMs = 1.0;
-        s.trainTargetTraces = 6;
-        s.trainNontargetTraces = 12;
+            "Keyed index hash re-keyed every 500 us of virtual time");
         s.defense.kind = DefenseKind::KeyedRekey;
         s.defense.rekeyIntervalMs = 0.5;
         reg.add(s);
     }
     {
-        ScenarioSpec s = base(
+        ScenarioSpec s = defenseE2eBase(
             "defense-rekey-fast-tiny-e2e",
-            "Keyed index hash re-keyed every 50 us of virtual time",
-            St::EndToEnd, M::TinyTest, 2, R::LRU, "silent", A::BinS);
-        s.defaultTrials = 2;
-        // Defended cells time out instead of completing: a blocked
-        // eviction signal burns the whole scan timeout per training
-        // trace and per scanned set, and a partition burns the whole
-        // per-set construction budget for every set in the scan
-        // group, so the undefended ~ms budgets are trimmed hard
-        // (still >10x headroom over the observed undefended costs)
-        // and training is kept to a dozen traces — the same knobs on
-        // every cell of the matrix, baseline row included, so
-        // overheads stay comparable.
-        s.scanTimeoutSec = 0.1;
-        s.evsetBudgetMs = 1.0;
-        s.trainTargetTraces = 6;
-        s.trainNontargetTraces = 12;
+            "Keyed index hash re-keyed every 50 us of virtual time");
         s.defense.kind = DefenseKind::KeyedRekey;
         s.defense.rekeyIntervalMs = 0.05;
         reg.add(s);
@@ -422,72 +390,31 @@ makeBuiltins()
         // half the LLC ways starves eviction-set construction
         // outright — every per-set build burns its whole (trimmed)
         // budget and the attack dies at the build stage.
-        ScenarioSpec s = base(
+        ScenarioSpec s = defenseE2eBase(
             "defense-waypart-tiny-e2e",
-            "CAT-style LLC way partition reserving the victim's ways",
-            St::EndToEnd, M::TinyTest, 2, R::LRU, "silent", A::BinS);
-        s.defaultTrials = 2;
-        // Defended cells time out instead of completing: a blocked
-        // eviction signal burns the whole scan timeout per training
-        // trace and per scanned set, and a partition burns the whole
-        // per-set construction budget for every set in the scan
-        // group, so the undefended ~ms budgets are trimmed hard
-        // (still >10x headroom over the observed undefended costs)
-        // and training is kept to a dozen traces — the same knobs on
-        // every cell of the matrix, baseline row included, so
-        // overheads stay comparable.
-        s.scanTimeoutSec = 0.1;
-        s.evsetBudgetMs = 1.0;
-        s.trainTargetTraces = 6;
-        s.trainNontargetTraces = 12;
+            "CAT-style LLC way partition reserving the victim's ways");
         s.defense.kind = DefenseKind::WayPart;
         s.defense.protectedWays = 2;
+        s.expect = {Ex::Series::OutcomeRate, "target_correct",
+                    Ex::Cmp::AtMost, 0.0,
+                    "the LLC way partition no longer stops the attack "
+                    "at the build stage"};
         reg.add(s);
     }
     {
-        ScenarioSpec s = base(
+        ScenarioSpec s = defenseE2eBase(
             "defense-sfpart-tiny-e2e",
             "SF way partition: attacker fills can't evict victim SF "
-            "entries",
-            St::EndToEnd, M::TinyTest, 2, R::LRU, "silent", A::BinS);
-        s.defaultTrials = 2;
-        // Defended cells time out instead of completing: a blocked
-        // eviction signal burns the whole scan timeout per training
-        // trace and per scanned set, and a partition burns the whole
-        // per-set construction budget for every set in the scan
-        // group, so the undefended ~ms budgets are trimmed hard
-        // (still >10x headroom over the observed undefended costs)
-        // and training is kept to a dozen traces — the same knobs on
-        // every cell of the matrix, baseline row included, so
-        // overheads stay comparable.
-        s.scanTimeoutSec = 0.1;
-        s.evsetBudgetMs = 1.0;
-        s.trainTargetTraces = 6;
-        s.trainNontargetTraces = 12;
+            "entries");
         s.defense.kind = DefenseKind::SfPart;
         s.defense.protectedWays = 2;
         reg.add(s);
     }
     {
-        ScenarioSpec s = base(
+        ScenarioSpec s = defenseE2eBase(
             "defense-watchdog-tiny-e2e",
             "Self-eviction watchdog triggering re-keys when probed "
-            "misses spike",
-            St::EndToEnd, M::TinyTest, 2, R::LRU, "silent", A::BinS);
-        s.defaultTrials = 2;
-        // Defended cells time out instead of completing: a blocked
-        // eviction signal burns the whole scan timeout per training
-        // trace and per scanned set, and a partition burns the whole
-        // per-set construction budget for every set in the scan
-        // group, so the undefended ~ms budgets are trimmed hard
-        // (still >10x headroom over the observed undefended costs)
-        // and training is kept to a dozen traces — the same knobs on
-        // every cell of the matrix, baseline row included, so
-        // overheads stay comparable.
-        s.scanTimeoutSec = 0.1;
-        s.evsetBudgetMs = 1.0;
-        s.trainTargetTraces = 6;
-        s.trainNontargetTraces = 12;
+            "misses spike");
         s.defense.kind = DefenseKind::Watchdog;
         reg.add(s);
     }
@@ -497,7 +424,7 @@ makeBuiltins()
             "PSD scan vs an LLC way partition on the tiny host",
             St::Scan, M::TinyTest, 2, R::LRU, "silent", A::BinS);
         s.defaultTrials = 3;
-        s.scanTimeoutSec = 0.1; // see the e2e cells above
+        s.scanTimeoutSec = 0.1; // knobs of defenseE2eBase above
         s.evsetBudgetMs = 1.0;
         s.trainTargetTraces = 6;
         s.trainNontargetTraces = 12;
@@ -573,6 +500,10 @@ makeBuiltins()
         s.defaultTrials = 3;
         s.defense.kind = DefenseKind::SfPart;
         s.defense.protectedWays = 2;
+        s.expect = {Ex::Series::OutcomeRate, "success", Ex::Cmp::AtLeast,
+                    0.50,
+                    "the SF partition now stops eviction-set "
+                    "construction"};
         reg.add(s);
     }
     {

@@ -112,21 +112,19 @@ TEST(CampaignFleet, VictimsDifferInKeyOffsetAndNoise)
 
 // ------------------------------------------------- fleet aggregation
 
-TEST(CampaignSummaryTest, DerivesFleetMetricsFromExperiment)
+TEST(CampaignSummaryTest, DerivesFleetMetricsFromAggregate)
 {
-    // Synthetic campaign: 4 victims, 3 keys recovered, known cycles.
-    ExperimentConfig cfg;
-    cfg.name = "synthetic";
-    cfg.trials = 4;
-    cfg.threads = 1;
-    ExperimentRunner runner(cfg);
-    ExperimentResult res =
-        runner.run([](TrialContext &ctx, TrialRecorder &rec) {
-            rec.outcome("key_recovered", ctx.index != 2);
-            rec.metric("total_cycles", 1000.0 * (ctx.index + 1));
-        });
+    // Synthetic campaign: 4 victims, 3 keys recovered, known cycles,
+    // folded in trial order exactly as the shard step folds them.
+    TrialAggregate aggregate;
+    for (std::size_t v = 0; v < 4; ++v) {
+        TrialRecorder rec;
+        rec.outcome("key_recovered", v != 2);
+        rec.metric("total_cycles", 1000.0 * static_cast<double>(v + 1));
+        aggregate.fold(rec);
+    }
 
-    CampaignSummary s = summarizeCampaign(res);
+    CampaignSummary s = summarizeCampaign(aggregate);
     EXPECT_EQ(s.fleet, 4u);
     EXPECT_EQ(s.keysRecovered, 3u);
     EXPECT_DOUBLE_EQ(s.fleetSuccessRate, 0.75);
@@ -138,7 +136,6 @@ TEST(CampaignSummaryTest, EmptyHandedCampaignSerialisesNullCostPerKey)
 {
     CampaignResult result;
     result.name = "all-miss";
-    result.trials = 2;
     result.masterSeed = 42;
     for (std::size_t v = 0; v < 2; ++v) {
         TrialRecorder rec;
@@ -147,6 +144,7 @@ TEST(CampaignSummaryTest, EmptyHandedCampaignSerialisesNullCostPerKey)
         result.aggregate.fold(rec);
     }
     result.summary = summarizeCampaign(result.aggregate);
+    result.campaign = result.summary.jsonMembers();
     EXPECT_EQ(result.summary.keysRecovered, 0u);
     EXPECT_TRUE(std::isnan(result.summary.cyclesPerRecoveredKey));
 
@@ -208,7 +206,7 @@ TEST(CampaignDeterminism, SuiteJsonIdenticalAcrossThreadCounts)
 {
     const ScenarioSpec &spec =
         campaignSpec("campaign-tiny-quota-mixed-4");
-    CampaignSuite one("e2e"), eight("e2e");
+    ExperimentSuite one("e2e"), eight("e2e");
     one.add(KeyRecoveryCampaign(spec).run(4, 1, 7));
     eight.add(KeyRecoveryCampaign(spec).run(4, 8, 7));
     EXPECT_EQ(one.toJson(), eight.toJson());

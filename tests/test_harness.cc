@@ -97,7 +97,7 @@ TEST(Json, EmptyStatsSerialiseAsNulls)
     // An all-miss experiment leaves aggregates like the bit-error
     // rate empty.  The serialised object must say so explicitly
     // (count 0, null moments) — never NaN text or fabricated zeros.
-    SampleStats empty;
+    StreamingStats empty;
     JsonWriter w;
     writeStatsObject(w, empty);
     EXPECT_EQ(w.str(),
@@ -116,7 +116,7 @@ TEST(Json, EmptyStatsSerialiseAsNulls)
 
 TEST(Json, PopulatedStatsKeepTheHistoricalShape)
 {
-    SampleStats s;
+    StreamingStats s;
     s.add(0.0);
     s.add(4.0);
     JsonWriter w;
@@ -275,20 +275,30 @@ TEST(Experiment, AggregatesAcrossTrials)
     EXPECT_EQ(r.outcome("nope"), nullptr);
 }
 
+void
+threeSampleTrial(TrialContext &ctx, TrialRecorder &rec)
+{
+    for (int i = 0; i < 3; ++i)
+        rec.metric("value", ctx.rng.nextGaussian(10.0, 2.0));
+    rec.outcome("success", ctx.rng.nextBool(0.7));
+}
+
 TEST(Experiment, DeterministicAcrossThreadCounts)
 {
     ExperimentResult serial = runNoisy(1);
     for (unsigned threads : {2u, 8u}) {
         ExperimentResult parallel = runNoisy(threads);
-        ASSERT_EQ(parallel.threadsUsed(), threads);
+        ASSERT_EQ(parallel.threadsUsed, threads);
 
-        // Aggregate sample streams identical, in order.
+        // Aggregates identical, in first-recorded order.
         ASSERT_EQ(parallel.metrics().size(), serial.metrics().size());
         for (std::size_t m = 0; m < serial.metrics().size(); ++m) {
             EXPECT_EQ(parallel.metrics()[m].first,
                       serial.metrics()[m].first);
-            EXPECT_EQ(parallel.metrics()[m].second.samples(),
-                      serial.metrics()[m].second.samples());
+            EXPECT_EQ(parallel.metrics()[m].second.count(),
+                      serial.metrics()[m].second.count());
+            EXPECT_EQ(parallel.metrics()[m].second.sum(),
+                      serial.metrics()[m].second.sum());
         }
         EXPECT_EQ(parallel.outcome("success")->successes(),
                   serial.outcome("success")->successes());
@@ -299,14 +309,44 @@ TEST(Experiment, DeterministicAcrossThreadCounts)
         parallel.writeJson(b);
         EXPECT_EQ(a.str(), b.str());
     }
+
+    // Past the exact head: 100 trials x 3 samples puts one series in
+    // the sketch phase and spans two shards.  The JSON must not depend
+    // on the thread count, and must equal folding the same recorders
+    // into the aggregate by hand in trial order.
+    ExperimentConfig cfg;
+    cfg.name = "past-head";
+    cfg.trials = 100;
+    cfg.masterSeed = 11;
+    TrialAggregate folded;
+    for (std::size_t i = 0; i < cfg.trials; ++i) {
+        TrialContext ctx{i, streamSeed(cfg.masterSeed, i),
+                         Rng::forStream(cfg.masterSeed, i)};
+        TrialRecorder rec;
+        threeSampleTrial(ctx, rec);
+        folded.fold(rec);
+    }
+    JsonWriter want;
+    want.beginObject();
+    folded.writeJsonMembers(want, cfg.name, cfg.masterSeed);
+    want.endObject();
+    for (unsigned threads : {1u, 2u, 8u}) {
+        cfg.threads = threads;
+        const ExperimentResult r = ExperimentRunner(cfg).run(threeSampleTrial);
+        ASSERT_NE(r.metric("value"), nullptr);
+        EXPECT_EQ(r.metric("value")->count(), 300u);
+        EXPECT_FALSE(r.metric("value")->exact());
+        JsonWriter got;
+        r.writeJson(got);
+        EXPECT_EQ(got.str(), want.str()) << threads << " threads";
+    }
 }
 
 TEST(Experiment, SeedChangesResults)
 {
     ExperimentResult a = runNoisy(4, 64, 7);
     ExperimentResult b = runNoisy(4, 64, 8);
-    EXPECT_NE(a.metric("value")->samples(),
-              b.metric("value")->samples());
+    EXPECT_NE(a.metric("value")->sum(), b.metric("value")->sum());
 }
 
 TEST(Experiment, SuiteJsonIsDeterministic)

@@ -151,7 +151,7 @@ TEST(ScenarioRegression, TinySilentBuildWithinBands)
     EXPECT_EQ(sr->trials(), 6u);
     EXPECT_GE(sr->rate(), 0.8);
 
-    const SampleStats *t = res.metric("build_cycles");
+    const StreamingStats *t = res.metric("build_cycles");
     ASSERT_NE(t, nullptr);
     ASSERT_FALSE(t->empty());
     // Observed ~73 us median on the tiny machine; the band is wide
@@ -174,7 +174,7 @@ TEST(ScenarioRegression, ScaledSkylakeBuildWithinBands)
     ASSERT_NE(sr, nullptr);
     EXPECT_GE(sr->rate(), 2.0 / 3.0);
 
-    const SampleStats *t = res.metric("build_cycles");
+    const StreamingStats *t = res.metric("build_cycles");
     ASSERT_NE(t, nullptr);
     ASSERT_FALSE(t->empty());
     // Observed ~1.2 ms median at 2 slices.
@@ -195,7 +195,7 @@ TEST(ScenarioRegression, TinyScanFindsTheTargetSet)
     const SuccessRate *correct = res.outcome("target_correct");
     ASSERT_NE(correct, nullptr);
     EXPECT_GE(correct->rate(), 0.5);
-    const SampleStats *scanned = res.metric("sets_scanned");
+    const StreamingStats *scanned = res.metric("sets_scanned");
     ASSERT_NE(scanned, nullptr);
     EXPECT_GT(scanned->mean(), 0.0);
 }
@@ -210,11 +210,11 @@ TEST(ScenarioRegression, TinyEndToEndRecoversNonceBits)
     const SuccessRate *correct = res.outcome("target_correct");
     ASSERT_NE(correct, nullptr);
     EXPECT_EQ(correct->rate(), 1.0);
-    const SampleStats *recovered = res.metric("recovered_fraction");
+    const StreamingStats *recovered = res.metric("recovered_fraction");
     ASSERT_NE(recovered, nullptr);
     ASSERT_FALSE(recovered->empty());
     EXPECT_GT(recovered->median(), 0.4);
-    const SampleStats *total = res.metric("total_cycles");
+    const StreamingStats *total = res.metric("total_cycles");
     ASSERT_NE(total, nullptr);
     EXPECT_GT(total->mean(), 0.0);
 }
@@ -307,7 +307,7 @@ TEST(ScenarioCounters, RecordedWhenTheBulkBuildFails)
     EXPECT_EQ(calibrated->successes(), 0u);
 
     for (const ExperimentResult *early : {&starved, &uncalibrated}) {
-        SCOPED_TRACE(early->name());
+        SCOPED_TRACE(early->name);
         EXPECT_EQ(stageSeriesNames(early->outcomes()),
                   stageSeriesNames(ref.outcomes()));
         EXPECT_EQ(stageSeriesNames(early->metrics()),
@@ -319,12 +319,12 @@ TEST(ScenarioCounters, RecordedWhenTheBulkBuildFails)
             EXPECT_EQ(o->successes(), 0u) << name;
         }
         for (const char *name : {"scan_cycles", "sets_scanned"}) {
-            const SampleStats *m = early->metric(name);
+            const StreamingStats *m = early->metric(name);
             ASSERT_NE(m, nullptr) << name;
             EXPECT_EQ(m->count(), 2u) << name;
             EXPECT_EQ(m->max(), 0.0) << name;
         }
-        const SampleStats *pc = early->metric("pc_accesses");
+        const StreamingStats *pc = early->metric("pc_accesses");
         ASSERT_NE(pc, nullptr);
         EXPECT_EQ(pc->count(), 2u);
     }
@@ -374,8 +374,8 @@ fabricatedEntry(const ScenarioExpectation &e, const std::string &value)
 TEST(ScenarioExpectations, HardGatedCellsDeclareTheirBounds)
 {
     // Each formerly hard-coded bench gate and each declared "attack
-    // dies" regime, with a value just inside and one just outside its
-    // bound (strictness included).
+    // dies" or "attack survives" regime, with a value just inside and
+    // one just outside its bound (strictness included).
     struct Case
     {
         const char *cell;
@@ -392,6 +392,10 @@ TEST(ScenarioExpectations, HardGatedCellsDeclareTheirBounds)
         {"defense-waypart-tiny-scan", "0", "0.0001"},
         {"calib-skl-plru-quiet", "0", "0.0001"},
         {"defense-rekey-fast-tiny-calib", "0", "0.0001"},
+        {"defense-waypart-tiny-e2e", "0", "0.0001"},
+        // ... and the declared "attack survives" regimes.
+        {"defense-rekey-off-tiny-e2e", "0.5", "0.4999"},
+        {"defense-sfpart-icx-build", "0.5", "0.4999"},
     };
     for (const Case &c : cases) {
         const ScenarioSpec *spec = builtinScenarios().find(c.cell);
