@@ -24,13 +24,12 @@
 namespace llcf {
 namespace {
 
+/** Background accesses kept per trial (paper: 1,000 back-to-back). */
+constexpr std::size_t kAccessesPerTrial = 400;
+
 void
 runEnvironment(ExperimentSuite &suite, int env)
 {
-    // Paper: 1,000 back-to-back background accesses per trial.
-    const std::size_t accesses_per_trial =
-        envU64("LLCF_FIG2_ACCESSES", 400);
-
     ExperimentConfig cfg;
     cfg.name = std::string("Fig2 @ ") + benchProfileName(env);
     cfg.trials = trialCount(6);
@@ -42,8 +41,7 @@ runEnvironment(ExperimentSuite &suite, int env)
     std::vector<std::vector<double>> gaps_by_trial(cfg.trials);
     ExperimentRunner runner(cfg);
     ExperimentResult result = runner.run(
-        [env, accesses_per_trial, &gaps_by_trial](TrialContext &ctx,
-                                                  TrialRecorder &rec) {
+        [env, &gaps_by_trial](TrialContext &ctx, TrialRecorder &rec) {
         const std::size_t t = ctx.index;
         ScenarioRig rig(benchSpec(env, 4, 100.0), ctx.seed);
         const unsigned w = rig.machine.config().sf.ways;
@@ -56,7 +54,7 @@ runEnvironment(ExperimentSuite &suite, int env)
         const Cycles start = rig.machine.now();
         const Cycles cap = start + msToCycles(env == 0 ? 400.0 : 40.0);
         auto detections = monitor->collectTrace(cap);
-        while (detections.size() > accesses_per_trial)
+        while (detections.size() > kAccessesPerTrial)
             detections.pop_back();
         for (std::size_t i = 1; i < detections.size(); ++i) {
             const double gap =

@@ -3,7 +3,7 @@
  * Figure 6 — covert-channel detection rate of each monitoring
  * strategy (Parallel, PS-Flush, PS-Alt) as the sender's access
  * interval varies from 1k to 100k cycles, with the paper's
- * epsilon = 500-cycle matching bound.
+ * kCovertEpsilon = 500-cycle matching bound.
  *
  * Paper reference: at a 2k-cycle interval Parallel reaches 84.1%
  * while PS-Flush and PS-Alt manage 15.4% and 6.0%; even at 100k
@@ -24,6 +24,9 @@ const MonitorKind kKinds[] = {MonitorKind::Parallel,
                               MonitorKind::PsFlush, MonitorKind::PsAlt};
 const Cycles kIntervals[] = {1000, 2000, 5000, 7000, 10000, 50000,
                              100000};
+
+/** Sender accesses per cell trial. */
+constexpr unsigned kSenderAccesses = 400;
 
 void
 runCell(ExperimentSuite &suite, MonitorKind kind, Cycles interval)
@@ -54,8 +57,7 @@ runCell(ExperimentSuite &suite, MonitorKind kind, Cycles interval)
         }
         CovertParams params;
         params.accessInterval = interval;
-        params.accesses = static_cast<unsigned>(
-            envU64("LLCF_SENDER_ACCESSES", 400));
+        params.accesses = kSenderAccesses;
         auto out = runCovertExperiment(*rig.session, kind, evset, alt,
                                        sender, params);
         rec.metric("detection_rate", out.detectionRate);

@@ -556,9 +556,9 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             cp.resume = true;
         } else if (arg.rfind("--stop-after-shards=", 0) == 0) {
-            cp.stopAfterShards = static_cast<std::size_t>(std::strtoull(
-                arg.c_str() + sizeof("--stop-after-shards=") - 1,
-                nullptr, 10));
+            cp.stopAfterShards = static_cast<std::size_t>(llcf::parseU64(
+                "--stop-after-shards",
+                arg.c_str() + sizeof("--stop-after-shards=") - 1));
         } else {
             unknown.push_back(arg);
         }

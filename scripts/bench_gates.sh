@@ -9,7 +9,8 @@
 #   scripts/bench_gates.sh --twin <scalar-build-dir> <simd-build-dir>
 #
 # With no gate names, every gate runs in order.  Gates:
-#   harness     bench_fig2 / bench_table4 1-vs-8-thread byte identity
+#   harness     paper benches (fig2/3/6, table3/4/5) 1-vs-8-thread
+#               byte identity
 #   matrix      the scenarios suite + counters 1-vs-8 identity
 #   hotpath     bench_hotpath smoke vs BENCH_hotpath.json
 #   scalar-flip LLCF_SCALAR_TAGS=1 runs match the vectorized bytes
@@ -86,6 +87,16 @@ gate_harness() {
     LLCF_WS_OFFSETS=2 ./bench_table4 --threads=8 --trials=1 \
         --json-out=t4_t8.json > /dev/null
     cmp t4_t1.json t4_t8.json
+    # The remaining paper benches: one trial per cell is enough to
+    # pin that sharding never changes a byte.
+    local bench
+    for bench in fig3 fig6 table3 table5; do
+        ./bench_$bench --threads=1 --trials=1 \
+            --json-out="${bench}_t1.json" > /dev/null
+        ./bench_$bench --threads=8 --trials=1 \
+            --json-out="${bench}_t8.json" > /dev/null
+        cmp "${bench}_t1.json" "${bench}_t8.json"
+    done
 }
 
 gate_suite() {

@@ -34,7 +34,7 @@ groundTruthEvictionSet(const Machine &machine, const CandidatePool &pool,
 
 double
 matchDetections(const std::vector<Cycles> &sender_times,
-                const std::vector<Cycles> &detections, Cycles epsilon)
+                const std::vector<Cycles> &detections)
 {
     if (sender_times.empty())
         return 0.0;
@@ -43,7 +43,7 @@ matchDetections(const std::vector<Cycles> &sender_times,
     for (Cycles t : sender_times) {
         while (d < detections.size() && detections[d] <= t)
             ++d;
-        if (d < detections.size() && detections[d] <= t + epsilon)
+        if (d < detections.size() && detections[d] <= t + kCovertEpsilon)
             ++hits;
     }
     return static_cast<double>(hits) /
@@ -69,7 +69,7 @@ runCovertExperiment(AttackSession &session, MonitorKind kind,
                           params.accessInterval;
     }
     const Cycles deadline = sender_times.back() + params.accessInterval;
-    const auto stream = m.addStream(params.senderCore, sender_line,
+    const auto stream = m.addStream(kCovertSenderCore, sender_line,
                                     sender_times);
 
     auto monitor = PrimeProbeMonitor::make(kind, session,
@@ -79,8 +79,7 @@ runCovertExperiment(AttackSession &session, MonitorKind kind,
     m.removeStream(stream);
 
     CovertOutcome out;
-    out.detectionRate = matchDetections(sender_times, detections,
-                                        params.epsilon);
+    out.detectionRate = matchDetections(sender_times, detections);
     out.primeLatency = monitor->primeStats();
     out.probeLatency = monitor->probeStats();
     return out;

@@ -4,7 +4,7 @@
  * Section 6.1, Table 5 and Figure 6): a sender on another core
  * accesses an agreed SF set at a fixed interval; a receiver monitor
  * reports the fraction of sender accesses it detects within the
- * paper's error bound (epsilon = 500 cycles).
+ * paper's error bound (kCovertEpsilon = 500 cycles).
  */
 
 #ifndef LLCF_ATTACK_COVERT_HH
@@ -15,13 +15,17 @@
 
 namespace llcf {
 
+/** Detection error bound (paper: 500 cycles). */
+constexpr Cycles kCovertEpsilon = 500;
+
+/** Core the sender runs on. */
+constexpr unsigned kCovertSenderCore = 2;
+
 /** Covert-channel experiment parameters. */
 struct CovertParams
 {
     Cycles accessInterval = 10000; //!< sender period
     unsigned accesses = 2000;      //!< sender accesses per experiment
-    Cycles epsilon = 500;          //!< detection error bound
-    unsigned senderCore = 2;
 };
 
 /** Covert-channel experiment outcome. */
@@ -61,11 +65,11 @@ CovertOutcome runCovertExperiment(AttackSession &session,
                                   const CovertParams &params);
 
 /**
- * Fraction of @p sender_times with a detection in (t, t + epsilon].
+ * Fraction of @p sender_times with a detection in
+ * (t, t + kCovertEpsilon].
  */
 double matchDetections(const std::vector<Cycles> &sender_times,
-                       const std::vector<Cycles> &detections,
-                       Cycles epsilon);
+                       const std::vector<Cycles> &detections);
 
 } // namespace llcf
 

@@ -97,7 +97,7 @@ EndToEndAttack::collectTraces(const BuiltEvictionSet &evset,
     // boundary fetch at ladderEnd is observable; the slack stays
     // below the minimum iteration duration, so no spurious boundary
     // pair can form beyond the ladder.
-    const Cycles tail_slack = extractor_.params().minIteration / 2;
+    const Cycles tail_slack = kExtractMinIteration / 2;
     const bool aes = victim_.family() == VictimFamily::AesTable;
     AesNibbleRecovery nibbles(victim_.targetLineIndex());
     for (unsigned i = 0; i < params_.tracesPerVictim; ++i) {

@@ -7,9 +7,8 @@
 
 namespace llcf {
 
-NonceExtractor::NonceExtractor(const ExtractorParams &params)
-    : params_(params),
-      forest_(ForestParams{60, TreeParams{10, 3, 0}, 1.0, 11})
+NonceExtractor::NonceExtractor()
+    : forest_(ForestParams{60, TreeParams{10, 3, 0}, 1.0, 11})
 {
 }
 
@@ -17,7 +16,7 @@ std::vector<double>
 NonceExtractor::accessFeatures(const std::vector<Cycles> &trace,
                                std::size_t index) const
 {
-    const double iter = static_cast<double>(params_.iterationCycles);
+    const double iter = static_cast<double>(kExtractIterationCycles);
     const double t = static_cast<double>(trace[index]);
     auto gap = [&](std::ptrdiff_t delta) {
         const std::ptrdiff_t j = static_cast<std::ptrdiff_t>(index) +
@@ -57,8 +56,7 @@ NonceExtractor::buildTrainingSet(
                 const Cycles prev = *(it - 1);
                 best = std::min(best, trace[i] - prev);
             }
-            const int label =
-                best <= params_.groundTruthTolerance ? +1 : -1;
+            const int label = best <= kGroundTruthTolerance ? +1 : -1;
             data.add(accessFeatures(trace, i), label);
         }
     }
@@ -86,7 +84,7 @@ NonceExtractor::predictBoundaries(const std::vector<Cycles> &trace) const
     // Untrained fallback: greedy segmentation — the next boundary is
     // the first access at least three quarters of an iteration after
     // the previous one, which skips midpoint accesses.
-    const Cycles min_gap = params_.iterationCycles * 3 / 4;
+    const Cycles min_gap = kExtractIterationCycles * 3 / 4;
     for (Cycles t : trace) {
         if (boundaries.empty() || t >= boundaries.back() + min_gap)
             boundaries.push_back(t);
@@ -110,21 +108,16 @@ NonceExtractor::extract(const std::vector<Cycles> &trace) const
         const Cycles span = b1 - b0;
         // Keep only boundary pairs one iteration apart (paper: the
         // 8k-12k cycle duration window).
-        if (span < params_.minIteration || span > params_.maxIteration)
+        if (span < kExtractMinIteration || span > kExtractMaxIteration)
             continue;
         // Is there an access near the midpoint of the iteration?
         const Cycles lo = b0 + span / 4;
         const Cycles hi = b0 + (3 * span) / 4;
         auto first = std::lower_bound(sorted.begin(), sorted.end(), lo);
-        bool midpoint = first != sorted.end() && *first <= hi;
-        ExtractedBit bit;
-        bit.start = b0;
-        bit.end = b1;
-        if (params_.midpointMeansZero)
-            bit.bit = midpoint ? 0 : 1;
-        else
-            bit.bit = midpoint ? 1 : 0;
-        out.push_back(bit);
+        // The instrumented layout of Section 7.1: a midpoint access
+        // means bit 0.
+        const bool midpoint = first != sorted.end() && *first <= hi;
+        out.push_back({b0, b1, midpoint ? 0 : 1});
     }
     return out;
 }
@@ -143,7 +136,7 @@ NonceExtractor::score(const std::vector<ExtractedBit> &bits,
         auto it = std::lower_bound(starts.begin(), starts.end(),
                                    b.start);
         std::size_t best_idx = starts.size();
-        Cycles best = params_.groundTruthTolerance + 1;
+        Cycles best = kGroundTruthTolerance + 1;
         if (it != starts.end()) {
             const Cycles d = *it - std::min(*it, b.start);
             if (d < best) {

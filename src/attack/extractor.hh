@@ -4,7 +4,9 @@
  * 7.3): a random-forest classifier marks which detected accesses are
  * ladder-iteration boundaries; boundary pairs 8k-12k cycles apart
  * delimit iterations; the bit of an iteration follows from whether an
- * extra access falls near its midpoint.
+ * extra access falls near its midpoint.  The window and tolerances
+ * are the paper's fixed values (the constants below); the bit
+ * convention is the instrumented layout's (midpoint access => 0).
  */
 
 #ifndef LLCF_ATTACK_EXTRACTOR_HH
@@ -15,18 +17,17 @@
 
 namespace llcf {
 
-/** Extractor parameters. */
-struct ExtractorParams
-{
-    Cycles iterationCycles = 9700; //!< expected iteration duration
-    Cycles minIteration = 8000;    //!< boundary-pair filter (paper: 8k)
-    Cycles maxIteration = 12000;   //!< boundary-pair filter (paper: 12k)
-    /** Matching tolerance when scoring against ground truth. */
-    Cycles groundTruthTolerance = 1500;
-    /** Bit convention: midpoint access present => bit is 0 (the
-     *  instrumented layout of Section 7.1). */
-    bool midpointMeansZero = true;
-};
+/** Expected iteration duration. */
+constexpr Cycles kExtractIterationCycles = 9700;
+
+/** Boundary-pair filter lower bound (paper: 8k). */
+constexpr Cycles kExtractMinIteration = 8000;
+
+/** Boundary-pair filter upper bound (paper: 12k). */
+constexpr Cycles kExtractMaxIteration = 12000;
+
+/** Matching tolerance when scoring against ground truth. */
+constexpr Cycles kGroundTruthTolerance = 1500;
 
 /** One extracted iteration. */
 struct ExtractedBit
@@ -64,7 +65,7 @@ struct ExtractionScore
 class NonceExtractor
 {
   public:
-    explicit NonceExtractor(const ExtractorParams &params = {});
+    NonceExtractor();
 
     /** Per-access feature vector (gaps to neighbours, local density). */
     std::vector<double> accessFeatures(const std::vector<Cycles> &trace,
@@ -94,14 +95,11 @@ class NonceExtractor
     ExtractionScore score(const std::vector<ExtractedBit> &bits,
                           const Victim::Execution &truth) const;
 
-    const ExtractorParams &params() const { return params_; }
-
   private:
     /** Predicted boundary timestamps of a trace. */
     std::vector<Cycles> predictBoundaries(const std::vector<Cycles>
                                           &trace) const;
 
-    ExtractorParams params_;
     RandomForest forest_;
     bool trained_ = false;
 };

@@ -73,18 +73,17 @@ ParallelMonitor::ParallelMonitor(AttackSession &session,
     : PrimeProbeMonitor(session), evset_(std::move(evset))
 {
     Machine &m = session_.machine();
-    const unsigned core = session_.config().mainCore;
 
     // Calibrate the all-hit probe duration, then set the detection
     // threshold above its spread but below a memory-level miss.
     const BatchSpec stores{BatchOp::Store, true, -1};
     const BatchSpec loads{BatchOp::Load, true, -1};
-    m.accessBatch(core, evset_, stores);
+    m.accessBatch(kMainCore, evset_, stores);
     SampleStats baseline;
     for (int i = 0; i < 16; ++i) {
-        m.accessBatch(core, evset_, stores);
+        m.accessBatch(kMainCore, evset_, stores);
         baseline.add(static_cast<double>(
-            m.accessBatch(core, evset_, loads)));
+            m.accessBatch(kMainCore, evset_, loads)));
     }
     threshold_ = std::max(baseline.median() + 120.0,
                           baseline.percentile(90.0) + 60.0);
@@ -94,12 +93,11 @@ Cycles
 ParallelMonitor::prime()
 {
     Machine &m = session_.machine();
-    const unsigned core = session_.config().mainCore;
     // Traverse the eviction set 12 times with overlapped accesses;
     // no replacement-state preparation needed (Section 6.1).
     Cycles total = 0;
     for (int pass = 0; pass < 12; ++pass)
-        total += m.accessBatch(core, evset_, {BatchOp::Store, true, -1});
+        total += m.accessBatch(kMainCore, evset_, {BatchOp::Store, true, -1});
     record(primeStats_, total);
     return total;
 }
@@ -108,8 +106,7 @@ PrimeProbeMonitor::ProbeResult
 ParallelMonitor::probe()
 {
     Machine &m = session_.machine();
-    const unsigned core = session_.config().mainCore;
-    const Cycles d = m.accessBatch(core, evset_,
+    const Cycles d = m.accessBatch(kMainCore, evset_,
                                    {BatchOp::Load, true, -1});
     record(probeStats_, d);
     return {static_cast<double>(d) > threshold_, d};
@@ -127,12 +124,11 @@ Cycles
 PsFlushMonitor::prime()
 {
     Machine &m = session_.machine();
-    const unsigned core = session_.config().mainCore;
     // Load, flush, and sequentially reload so the first line ends up
     // as the set's eviction candidate.
-    Cycles total = m.accessBatch(core, evset_, {BatchOp::Load});
-    total += m.accessBatch(core, evset_, {BatchOp::Flush});
-    total += m.accessBatch(core, evset_, {BatchOp::Load});
+    Cycles total = m.accessBatch(kMainCore, evset_, {BatchOp::Load});
+    total += m.accessBatch(kMainCore, evset_, {BatchOp::Flush});
+    total += m.accessBatch(kMainCore, evset_, {BatchOp::Load});
     record(primeStats_, total);
     return total;
 }
@@ -141,13 +137,11 @@ PrimeProbeMonitor::ProbeResult
 PsFlushMonitor::probe()
 {
     Machine &m = session_.machine();
-    const unsigned core = session_.config().mainCore;
     // Scope: check only whether the EVC is still in the private
     // caches; a hit leaves the set's state untouched.
-    const Cycles d = m.probeLoad(core, evset_.front());
+    const Cycles d = m.probeLoad(kMainCore, evset_.front());
     record(probeStats_, d);
-    const bool miss = static_cast<double>(d) >
-                      session_.config().thresholds.privateMiss;
+    const bool miss = static_cast<double>(d) > kPrivateMissThreshold;
     return {miss, d};
 }
 
@@ -166,12 +160,11 @@ Cycles
 PsAltMonitor::prime()
 {
     Machine &m = session_.machine();
-    const unsigned core = session_.config().mainCore;
     // Switch to the other eviction set and prime it with a dependent
     // pointer chase; its lines displace the previous set's entries,
     // leaving the first-chased line as the EVC.
     active_ ^= 1;
-    const Cycles total = m.accessBatch(core, sets_[active_],
+    const Cycles total = m.accessBatch(kMainCore, sets_[active_],
                                        {BatchOp::Load});
     record(primeStats_, total);
     return total;
@@ -181,11 +174,9 @@ PrimeProbeMonitor::ProbeResult
 PsAltMonitor::probe()
 {
     Machine &m = session_.machine();
-    const unsigned core = session_.config().mainCore;
-    const Cycles d = m.probeLoad(core, sets_[active_].front());
+    const Cycles d = m.probeLoad(kMainCore, sets_[active_].front());
     record(probeStats_, d);
-    const bool miss = static_cast<double>(d) >
-                      session_.config().thresholds.privateMiss;
+    const bool miss = static_cast<double>(d) > kPrivateMissThreshold;
     return {miss, d};
 }
 

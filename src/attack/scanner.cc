@@ -22,7 +22,7 @@ TraceClassifier::features(const std::vector<Cycles> &rel_times) const
         binEvents(rel_times, params_.traceDuration, params_.binCycles);
     const double fs = kCpuGhz * 1e9 /
                       static_cast<double>(params_.binCycles);
-    const PsdEstimate psd = welchPsd(binned, fs, params_.welch);
+    const PsdEstimate psd = welchPsd(binned, fs);
 
     std::vector<double> row;
     if (!psd.valid()) {
@@ -171,32 +171,6 @@ TargetSetScanner::TargetSetScanner(AttackSession &session,
 {
 }
 
-bool
-TargetSetScanner::plausibleNonceTrace(
-    const std::vector<Cycles> &rel_times) const
-{
-    // A genuine nonce trace alternates ~half-iteration and
-    // ~full-iteration gaps; compute the fraction of half-gaps and
-    // reject heavily biased traces (Section 7.2's FP filter).
-    if (rel_times.size() < 16)
-        return false;
-    unsigned half = 0, full = 0;
-    for (std::size_t i = 1; i < rel_times.size(); ++i) {
-        const double gap = static_cast<double>(rel_times[i] -
-                                               rel_times[i - 1]);
-        if (gap > 3500 && gap < 6500)
-            ++half;
-        else if (gap > 8000 && gap < 12000)
-            ++full;
-    }
-    const unsigned informative = half + full;
-    if (informative < rel_times.size() / 4)
-        return false;
-    const double frac = static_cast<double>(half) /
-                        static_cast<double>(informative);
-    return frac > 0.08 && frac < 0.92;
-}
-
 ScanResult
 TargetSetScanner::scan(const std::vector<BuiltEvictionSet> &evsets)
 {
@@ -223,14 +197,12 @@ TargetSetScanner::scan(const std::vector<BuiltEvictionSet> &evsets)
             auto detections =
                 monitor->collectTrace(t0 + params.traceDuration);
             ++res.setsScanned;
-            if (detections.size() < params.minAccesses ||
-                detections.size() > params.maxAccesses)
+            if (detections.size() < kScanMinAccesses ||
+                detections.size() > kScanMaxAccesses)
                 continue;
             for (auto &d : detections)
                 d -= t0;
             if (!classifier_.isTarget(classifier_.features(detections)))
-                continue;
-            if (params.fpFilter && !plausibleNonceTrace(detections))
                 continue;
             res.found = true;
             res.evsetIndex = idx;
@@ -281,9 +253,8 @@ TargetSetScanner::scanAdaptive(
                     total, 2)));
             for (std::size_t i = 0; i < evsets.size(); ++i) {
                 const double n = static_cast<double>(pulls[i]);
-                const double ucb = reward[i] / n +
-                                   params.ucbExplore *
-                                       std::sqrt(logn / n);
+                const double ucb =
+                    reward[i] / n + kUcbExplore * std::sqrt(logn / n);
                 if (ucb > best) { // strict: ties keep the lowest index
                     best = ucb;
                     pick = i;
@@ -299,15 +270,13 @@ TargetSetScanner::scanAdaptive(
         ++res.setsScanned;
         ++pulls[pick];
         ++total;
-        if (detections.size() < params.minAccesses ||
-            detections.size() > params.maxAccesses)
+        if (detections.size() < kScanMinAccesses ||
+            detections.size() > kScanMaxAccesses)
             continue;
         reward[pick] += 0.5;
         for (auto &d : detections)
             d -= t0;
         if (!classifier_.isTarget(classifier_.features(detections)))
-            continue;
-        if (params.fpFilter && !plausibleNonceTrace(detections))
             continue;
         reward[pick] += 0.5;
         res.found = true;

@@ -5,7 +5,10 @@
  * candidate SF set, estimate its power spectral density with Welch's
  * method, and classify target vs non-target with an SVM trained on
  * labelled traces (polynomial kernel, like the paper's scikit-learn
- * model).
+ * model).  A trace reaches the classifier only when its detection
+ * count passes the preliminary [kScanMinAccesses, kScanMaxAccesses]
+ * filter; the paper's extra nonce-shaped false-positive filter for
+ * WholeSys is not modelled (DESIGN.md §12).
  */
 
 #ifndef LLCF_ATTACK_SCANNER_HH
@@ -19,18 +22,22 @@
 
 namespace llcf {
 
-/** Scanner parameters (paper Section 7.2). */
+/** Preliminary filter lower bound on a trace's detections. */
+constexpr unsigned kScanMinAccesses = 50;
+
+/** Preliminary filter upper bound on a trace's detections. */
+constexpr unsigned kScanMaxAccesses = 400;
+
+/** UCB exploration constant (adaptive mode only). */
+constexpr double kUcbExplore = 1.2;
+
+/** Scanner parameters (paper Section 7.2).  PSD estimation uses the
+ *  default WelchParams. */
 struct ScannerParams
 {
     Cycles traceDuration = usToCycles(500.0);
-    unsigned minAccesses = 50;  //!< preliminary filter lower bound
-    unsigned maxAccesses = 400; //!< preliminary filter upper bound
     Cycles binCycles = 1024;    //!< event-binning resolution
-    WelchParams welch{};        //!< PSD estimation parameters
     Cycles timeout = secToCycles(60.0);
-    /** Apply the nonce-extraction false-positive filter (used for
-     *  WholeSys in the paper). */
-    bool fpFilter = false;
     /**
      * Bandit-style budget allocation: instead of shuffled sweeps,
      * pick the next set to trace by UCB over per-set activity
@@ -40,8 +47,6 @@ struct ScannerParams
      * monitoring budget on quiet sets.
      */
     bool adaptive = false;
-    /** UCB exploration constant (adaptive mode only). */
-    double ucbExplore = 1.2;
 };
 
 /**
@@ -133,9 +138,6 @@ class TargetSetScanner
     ScanResult scan(const std::vector<BuiltEvictionSet> &evsets);
 
   private:
-    /** Cheap nonce-shaped sanity filter for WholeSys false positives. */
-    bool plausibleNonceTrace(const std::vector<Cycles> &rel_times) const;
-
     /** UCB bandit sweep (ScannerParams::adaptive). */
     ScanResult scanAdaptive(const std::vector<BuiltEvictionSet> &evsets);
 

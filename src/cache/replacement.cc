@@ -32,12 +32,4 @@ parseReplKind(const std::string &name, ReplKind &out)
     return false;
 }
 
-std::unique_ptr<ReplPolicy>
-makeReplPolicy(ReplKind kind)
-{
-    return withReplOps(kind, [](auto ops) -> std::unique_ptr<ReplPolicy> {
-        return std::make_unique<ReplPolicyFor<decltype(ops)>>();
-    });
-}
-
 } // namespace llcf

@@ -39,8 +39,6 @@ TopologyProber::TopologyProber(AttackSession &session,
                                const CalibrationConfig &cfg)
     : session_(session), pool_(pool), cfg_(cfg)
 {
-    if (cfg_.lineIndex == cfg_.crossLineIndex)
-        fatal("calibration needs two distinct probe line indices");
     pageOfBase_.reserve(pool_.pages());
     for (std::size_t p = 0; p < pool_.pages(); ++p)
         pageOfBase_.emplace(pool_.at(p, 0), p);
@@ -50,7 +48,7 @@ std::vector<Addr>
 TopologyProber::minimalSetFor(Addr ta, unsigned line_index,
                               Cycles deadline)
 {
-    for (unsigned attempt = 0; attempt < cfg_.attemptsPerTarget;
+    for (unsigned attempt = 0; attempt < kCalibAttemptsPerTarget;
          ++attempt) {
         if (session_.expired(deadline))
             break;
@@ -99,7 +97,7 @@ TopologyProber::membershipScan(TargetProbe &probe, Cycles deadline,
             return;
         if (p == probe.taPage)
             continue;
-        const Addr cand = pool_.at(p, cfg_.lineIndex);
+        const Addr cand = pool_.at(p, kCalibLineIndex);
         if (member_base.count(
                 cand & ~static_cast<Addr>(kPageBytes - 1))) {
             // A minimal-set member inside the window is a verified
@@ -146,7 +144,7 @@ TopologyProber::measureSfWays(TargetProbe &probe, Cycles deadline,
         const Addr base = pool_.at(page, 0);
         if (!used.insert(base))
             return 0;
-        const Addr cand = pool_.at(page, cfg_.lineIndex);
+        const Addr cand = pool_.at(page, kCalibLineIndex);
         // Continuation-scan tests (record == true) are fresh
         // congruence samples; pool them into the U estimator.  The
         // scan-hit replays are already counted.
@@ -196,9 +194,9 @@ void
 TopologyProber::survivalProbe(TargetProbe &probe, Cycles deadline,
                               CalibratedTopology &out)
 {
-    const Addr ta2 = pool_.at(probe.taPage, cfg_.crossLineIndex);
+    const Addr ta2 = pool_.at(probe.taPage, kCalibCrossLineIndex);
     const std::vector<Addr> min_set2 =
-        minimalSetFor(ta2, cfg_.crossLineIndex, deadline);
+        minimalSetFor(ta2, kCalibCrossLineIndex, deadline);
     if (min_set2.empty())
         return; // no survival data; snapGeometry falls back
 
@@ -208,7 +206,7 @@ TopologyProber::survivalProbe(TargetProbe &probe, Cycles deadline,
         exclude.insert(a & ~static_cast<Addr>(kPageBytes - 1));
 
     // Every page here is congruent with the target page at
-    // cfg_.lineIndex: the set-index bits above the page offset carry
+    // kCalibLineIndex: the set-index bits above the page offset carry
     // over to any offset, so cross-offset survival measures only
     // whether the slice hash re-rolled onto the same slice (~1/S).
     std::vector<std::size_t> pages = probe.congruentPages;
@@ -234,7 +232,7 @@ TopologyProber::survivalProbe(TargetProbe &probe, Cycles deadline,
             continue;
         }
         ++out.survivalTests;
-        if (congruent(ta2, min_set2, pool_.at(p, cfg_.crossLineIndex)))
+        if (congruent(ta2, min_set2, pool_.at(p, kCalibCrossLineIndex)))
             ++out.survivalHits;
     }
 }
@@ -324,14 +322,14 @@ TopologyProber::calibrate()
     // Stage 1: minimal LLC sets on independent targets.
     std::vector<TargetProbe> probes;
     std::vector<unsigned> w_llc_votes;
-    for (unsigned t = 0; t < cfg_.targets; ++t) {
+    for (unsigned t = 0; t < kCalibTargets; ++t) {
         if (session_.expired(deadline))
             break;
         TargetProbe probe;
         probe.taPage = session_.rng().nextBelow(pool_.pages());
-        probe.ta = pool_.at(probe.taPage, cfg_.lineIndex);
+        probe.ta = pool_.at(probe.taPage, kCalibLineIndex);
         probe.minSet =
-            minimalSetFor(probe.ta, cfg_.lineIndex, deadline);
+            minimalSetFor(probe.ta, kCalibLineIndex, deadline);
         if (probe.minSet.empty())
             continue;
         w_llc_votes.push_back(
@@ -372,7 +370,7 @@ TopologyProber::calibrate()
             std::min<std::size_t>(probe.congruentPages.size(), 8);
         for (std::size_t i = 0; i < n; ++i) {
             const Addr cand =
-                pool_.at(probe.congruentPages[i], cfg_.lineIndex);
+                pool_.at(probe.congruentPages[i], kCalibLineIndex);
             for (int r = 0; r < 2; ++r) {
                 if (session_.expired(deadline))
                     break;

@@ -55,21 +55,24 @@
 
 namespace llcf {
 
-/** Knobs of one Step-0 calibration run. */
+/** Page-line index the primary probes run at. */
+constexpr unsigned kCalibLineIndex = 5;
+
+/** Second line index for the cross-offset slice survival probe. */
+constexpr unsigned kCalibCrossLineIndex = 37;
+static_assert(kCalibLineIndex != kCalibCrossLineIndex,
+              "calibration needs two distinct probe line indices");
+
+/** Independent calibration targets (majority vote over W). */
+constexpr unsigned kCalibTargets = 2;
+
+/** Blind reductions attempted per target before giving up. */
+constexpr unsigned kCalibAttemptsPerTarget = 3;
+
+/** Knobs of one Step-0 calibration run (the fixed probe plan is the
+ *  constants above). */
 struct CalibrationConfig
 {
-    /** Page-line index the primary probes run at. */
-    unsigned lineIndex = 5;
-
-    /** Second line index for the cross-offset slice survival probe. */
-    unsigned crossLineIndex = 37;
-
-    /** Independent calibration targets (majority vote over W). */
-    unsigned targets = 2;
-
-    /** Blind reductions attempted per target before giving up. */
-    unsigned attemptsPerTarget = 3;
-
     /** Pool pages membership-scanned per target (the U estimator's
      *  sample window). */
     unsigned samplePages = 128;
@@ -171,7 +174,7 @@ class TopologyProber
     struct TargetProbe
     {
         std::size_t taPage = 0;  //!< pool page of the target
-        Addr ta = 0;             //!< target at cfg_.lineIndex
+        Addr ta = 0;             //!< target at kCalibLineIndex
         std::vector<Addr> minSet;          //!< minimal LLC set
         std::vector<std::size_t> congruentPages; //!< scan hits
         unsigned wSf = 0;        //!< measured SF ways (0 = failed)

@@ -1,9 +1,27 @@
 #include "options.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
+#include "common/log.hh"
+
 namespace llcf {
+
+std::uint64_t
+parseU64(const char *name, const char *text)
+{
+    // strtoull alone would wrap "-1" to 2^64 - 1, skip leading blanks,
+    // stop silently at trailing junk ("8x" -> 8, "abc" -> 0) and
+    // saturate on overflow; each of those is rejected here.
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE)
+        fatal("%s: '%s' is not a whole unsigned number", name, text);
+    return v;
+}
 
 std::uint64_t
 envU64(const char *name, std::uint64_t def)
@@ -11,16 +29,7 @@ envU64(const char *name, std::uint64_t def)
     const char *v = std::getenv(name);
     if (!v || !*v)
         return def;
-    return std::strtoull(v, nullptr, 0);
-}
-
-double
-envDouble(const char *name, double def)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return def;
-    return std::strtod(v, nullptr);
+    return parseU64(name, v);
 }
 
 bool

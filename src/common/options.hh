@@ -1,16 +1,28 @@
 /**
  * @file
- * Environment-variable driven experiment knobs.
+ * The audited environment boundary: every getenv in the tree happens
+ * here.  The bench CLI flags (--seed=, --trials=, --threads=,
+ * --json-out=, --full-scale, --counters) only set the matching
+ * variables (benchParseArgs, bench/bench_common.cc).  Every variable,
+ * and who reads it:
  *
- * Benchmarks read scale/seed knobs from the environment, so library
- * code deep inside a trial sees the same settings without threading
- * them through every call.  The bench CLI flags (--seed=, --trials=,
- * --threads=, --json-out=, --full-scale, --counters) only set these
- * variables (benchParseArgs, bench/bench_common.cc):
+ *   LLCF_SEED=<n>        base RNG seed; the bench drivers (baseSeed)
+ *   LLCF_TRIALS=<n>      per-experiment trial override; the bench
+ *                        drivers (trialCount)
+ *   LLCF_THREADS=<n>     harness worker count; resolveThreadCount
+ *                        (harness/thread_pool.cc), capped at
+ *                        kMaxThreads
+ *   LLCF_JSON_OUT=<path> output document; writeBenchDocument
+ *                        (harness/experiment.cc)
+ *   LLCF_FULL_SCALE=1    full paper scale; the bench drivers and the
+ *                        document header (fullScale)
+ *   LLCF_COUNTERS=1      record "pc_*" metrics; runScenarioTrial
+ *                        (countersEnabled)
+ *   LLCF_SCALAR_TAGS=1   force the scalar tag scan; cache/tag_scan.hh
+ *   LLCF_WS_OFFSETS=<n>  working-set offsets sampled; bench_table4
  *
- *   LLCF_FULL_SCALE=1  run experiments at full paper scale
- *   LLCF_SEED=<n>      base RNG seed
- *   LLCF_TRIALS=<n>    override per-experiment trial counts
+ * Numeric values must be whole unsigned numbers (decimal, 0x hex or
+ * 0 octal); anything else is fatal, never silently read as 0.
  */
 
 #ifndef LLCF_COMMON_OPTIONS_HH
@@ -21,11 +33,16 @@
 
 namespace llcf {
 
-/** Read an environment variable as uint64 with a default. */
-std::uint64_t envU64(const char *name, std::uint64_t def);
+/**
+ * Parse @p text as a whole unsigned number (base 0: decimal, 0x hex,
+ * 0 octal).  Fatal, naming @p name, on a sign, blanks, trailing
+ * characters, an empty string or a value above 2^64 - 1.
+ */
+std::uint64_t parseU64(const char *name, const char *text);
 
-/** Read an environment variable as double with a default. */
-double envDouble(const char *name, double def);
+/** Read an environment variable as uint64 with a default (unset or
+ *  empty => @p def); a malformed value is fatal (see parseU64). */
+std::uint64_t envU64(const char *name, std::uint64_t def);
 
 /** Read an environment variable as bool (unset/"0"/"false" => false). */
 bool envBool(const char *name, bool def = false);

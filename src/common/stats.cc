@@ -73,14 +73,6 @@ SampleStats::add(double v)
     dirty_ = true;
 }
 
-void
-SampleStats::merge(const SampleStats &other)
-{
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-    dirty_ = true;
-}
-
 double
 SampleStats::sum() const
 {
@@ -162,40 +154,6 @@ StreamingStats::add(double v)
     if (head_.size() < kHeadCapacity)
         head_.push_back(v);
     sketchPush(0, v);
-}
-
-void
-StreamingStats::merge(const StreamingStats &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    if (other.exact()) {
-        // The other side still holds its full sample stream: replaying
-        // it is byte-for-byte the same as having added those samples
-        // here directly, which keeps head-phase exactness alive.
-        for (double v : other.head_)
-            add(v);
-        return;
-    }
-    // Streaming combine (Chan et al. for the moments).  Deterministic
-    // but order-sensitive; callers fold shards in trial order.
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.welfordMean_ - welfordMean_;
-    welfordM2_ +=
-        other.welfordM2_ + delta * delta * na * nb / (na + nb);
-    welfordMean_ += delta * nb / (na + nb);
-    sum_.add(other.sum_);
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    for (std::size_t level = 0; level < other.levels_.size(); ++level)
-        for (double v : other.levels_[level])
-            sketchPush(level, v);
 }
 
 double
@@ -394,13 +352,6 @@ SuccessRate::add(bool success)
     ++trials_;
     if (success)
         ++successes_;
-}
-
-void
-SuccessRate::merge(const SuccessRate &other)
-{
-    trials_ += other.trials_;
-    successes_ += other.successes_;
 }
 
 double

@@ -30,14 +30,6 @@ class CompensatedSum
     /** Fold one term into the sum. */
     void add(double v);
 
-    /** Fold another compensated sum in (order-sensitive). */
-    void
-    add(const CompensatedSum &other)
-    {
-        add(other.sum_);
-        add(other.comp_);
-    }
-
     /** The compensated total. */
     double value() const { return sum_ + comp_; }
 
@@ -77,9 +69,6 @@ class SampleStats
   public:
     /** Record one sample. */
     void add(double v);
-
-    /** Append all samples from another accumulator. */
-    void merge(const SampleStats &other);
 
     /** Number of recorded samples. */
     std::size_t count() const { return samples_.size(); }
@@ -161,16 +150,15 @@ struct StreamingStatsState
  *  - Neumaier-compensated sum and Welford moments, fed from the first
  *    sample, so sum()/mean()/stddev() stay exact-to-last-rounding at
  *    10^6 samples;
- *  - a deterministic mergeable quantile-sketch (per-level compacting
+ *  - a deterministic quantile-sketch (per-level compacting
  *    buffers with alternating keep-parity, no randomness), answering
  *    percentile queries once the head is outgrown.
  *
  * Determinism contract: the accumulator state is a pure function of
- * the sample sequence, and merge(a, b) is defined as replaying b after
- * a where possible and as a fixed-order combine otherwise — so folds
- * that always combine in trial order (the campaign harness does)
- * produce identical state at any worker-thread count, and a state
- * round-tripped through StreamingStatsState resumes bit-identically.
+ * the sample sequence — so the harness, which adds every trial's
+ * samples in trial order, produces identical state at any
+ * worker-thread count, and a state round-tripped through
+ * StreamingStatsState resumes bit-identically.
  */
 class StreamingStats
 {
@@ -180,9 +168,6 @@ class StreamingStats
 
     /** Record one sample. */
     void add(double v);
-
-    /** Fold another accumulator in (order-sensitive, deterministic). */
-    void merge(const StreamingStats &other);
 
     /** Number of recorded samples. */
     std::size_t count() const { return static_cast<std::size_t>(count_); }
@@ -269,9 +254,6 @@ class SuccessRate
 
     /** Record one trial. */
     void add(bool success);
-
-    /** Fold another counter in. */
-    void merge(const SuccessRate &other);
 
     /** Number of trials. */
     std::size_t trials() const { return trials_; }

@@ -122,7 +122,7 @@ GroupTestPruner::prune(AttackSession &session, Addr ta,
         // Stuck: a previous removal likely discarded congruent
         // addresses on a false-positive test.  Backtrack by restoring
         // the most recently removed group [Vila et al.].
-        if (res.backtracks >= session.config().maxBacktracks)
+        if (res.backtracks >= kMaxBacktracks)
             return res;
         ++res.backtracks;
         if (removed_stack.empty())
@@ -164,7 +164,7 @@ PrimeScopePruner::prune(AttackSession &session, Addr ta,
     if (llc_target)
         session.shareLine(ta);
     else
-        session.machine().load(session.config().mainCore, ta);
+        session.machine().load(kMainCore, ta);
     std::size_t i = 0;
     std::size_t steps = 0;
     const std::size_t max_steps = cands.size() * 64;
@@ -186,7 +186,7 @@ PrimeScopePruner::prune(AttackSession &session, Addr ta,
         if (llc_target)
             session.seqSharedAccess(candidate);
         else
-            session.machine().chaseLoad(session.config().mainCore,
+            session.machine().chaseLoad(kMainCore,
                                         candidate);
         const bool evicted = llc_target ? session.probeLlcMiss(ta)
                                         : session.probePrivateMiss(ta);
@@ -265,7 +265,7 @@ BinarySearchPruner::prune(AttackSession &session, Addr ta,
             // Detect the erroneous state a false-positive test causes:
             // the first UB addresses should still evict Ta.
             if (!session.testEviction(target, ta, cands, UB)) {
-                if (res.backtracks >= session.config().maxBacktracks)
+                if (res.backtracks >= kMaxBacktracks)
                     return res;
                 ++res.backtracks;
                 // Recover by widening UB with a large stride until the

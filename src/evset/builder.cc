@@ -116,11 +116,11 @@ EvictionSetBuilder::buildForTarget(Addr ta, std::vector<Addr> cands)
     BuildOutcome out;
     Machine &m = session_.machine();
     const Cycles start = m.now();
-    const Cycles deadline = start + session_.config().evsetBudget;
+    const Cycles deadline = start + session_.evsetBudget();
 
     std::vector<Addr> working = std::move(cands);
     bool filtered = false;
-    for (unsigned a = 0; a < session_.config().maxAttempts; ++a) {
+    for (unsigned a = 0; a < kMaxAttempts; ++a) {
         if (session_.expired(deadline))
             break;
         ++out.attempts;
@@ -153,7 +153,7 @@ Cycles
 EvictionSetBuilder::partitionBudget() const
 {
     const auto &l2 = session_.machine().config().l2;
-    return session_.config().evsetBudget * (4 * l2.uncertainty() + 16);
+    return session_.evsetBudget() * (4 * l2.uncertainty() + 16);
 }
 
 bool
@@ -200,8 +200,8 @@ EvictionSetBuilder::buildClass(std::vector<Addr> members,
         if (coveredByExisting(ta, class_sets))
             continue; // this SF set already has an eviction set
 
-        const Cycles deadline = m.now() + session_.config().evsetBudget;
-        for (unsigned a = 0; a < session_.config().maxAttempts; ++a) {
+        const Cycles deadline = m.now() + session_.evsetBudget();
+        for (unsigned a = 0; a < kMaxAttempts; ++a) {
             if (session_.expired(deadline))
                 break;
             auto built = attemptBuild(ta, working, deadline, nullptr);

@@ -34,19 +34,19 @@ CandidatePool::shiftToLineIndex(const std::vector<Addr> &at_zero,
 }
 
 std::size_t
-CandidatePool::requiredPages(const Machine &machine, double factor)
+CandidatePool::requiredPages(const Machine &machine)
 {
     const auto &sf = machine.config().sf;
     return static_cast<std::size_t>(
-        std::ceil(factor * sf.uncertainty() * sf.ways));
+        std::ceil(kCandidateFactor * sf.uncertainty() * sf.ways));
 }
 
 std::size_t
 CandidatePool::requiredPagesBlind(unsigned assumed_uncertainty,
-                                  unsigned assumed_ways, double factor)
+                                  unsigned assumed_ways)
 {
     return static_cast<std::size_t>(
-        std::ceil(factor * assumed_uncertainty * assumed_ways));
+        std::ceil(kCandidateFactor * assumed_uncertainty * assumed_ways));
 }
 
 } // namespace llcf

@@ -6,7 +6,7 @@
  * one candidate address per page offset.  Because the kernel assigns
  * physical frames the attacker cannot observe, a candidate's L2/LLC/SF
  * set is unknown up to the cache uncertainty U — which is exactly why
- * candidate sets must hold ~factor * U * W addresses.
+ * candidate sets must hold ~kCandidateFactor * U * W addresses.
  */
 
 #ifndef LLCF_EVSET_CANDIDATE_HH
@@ -55,23 +55,22 @@ class CandidatePool
 
     /**
      * Pool size needed for one construction campaign on @p machine:
-     * ceil(factor * U_sf * W_sf) pages.  Oracle sizing — reads the
-     * machine's true geometry; blind attackers size with
+     * ceil(kCandidateFactor * U_sf * W_sf) pages.  Oracle sizing —
+     * reads the machine's true geometry; blind attackers size with
      * requiredPagesBlind instead.
      */
-    static std::size_t requiredPages(const Machine &machine,
-                                     double factor);
+    static std::size_t requiredPages(const Machine &machine);
 
     /**
      * Pool size for a blind attacker who has not calibrated yet:
-     * ceil(factor * assumed_uncertainty * assumed_ways) pages from the
-     * attacker's prior upper bounds on U and W (a cloud tenant knows
-     * the host family from cpuid, not the exact part).  Oversizing
-     * only costs memory; undersizing makes Step 0 and Step 1 fail.
+     * ceil(kCandidateFactor * assumed_uncertainty * assumed_ways)
+     * pages from the attacker's prior upper bounds on U and W (a cloud
+     * tenant knows the host family from cpuid, not the exact part).
+     * Oversizing only costs memory; undersizing makes Step 0 and
+     * Step 1 fail.
      */
     static std::size_t requiredPagesBlind(unsigned assumed_uncertainty,
-                                          unsigned assumed_ways,
-                                          double factor);
+                                          unsigned assumed_ways);
 
   private:
     std::vector<Addr> framePa_; //!< page-aligned translated bases

@@ -19,9 +19,8 @@ CandidateFilter::buildL2EvictionSet(Addr ta,
                                     Cycles deadline)
 {
     const auto &l2 = session_.machine().config().l2;
-    const double factor = session_.config().candidateFactor;
     const std::size_t need = static_cast<std::size_t>(
-        std::ceil(factor * l2.uncertainty() * l2.ways));
+        std::ceil(kCandidateFactor * l2.uncertainty() * l2.ways));
 
     if (cands.size() < l2.ways)
         return std::nullopt;
@@ -45,7 +44,6 @@ CandidateFilter::filter(const std::vector<Addr> &l2_evset,
     std::vector<Addr> kept;
     kept.reserve(cands.size() / 8);
     Machine &m = session_.machine();
-    const unsigned core = session_.config().mainCore;
     for (Addr a : cands) {
         // Skip the eviction set's own members; they are congruent by
         // construction and retained by the caller via the class'
@@ -57,10 +55,10 @@ CandidateFilter::filter(const std::vector<Addr> &l2_evset,
         }
         // Flush the working set so every access is a fresh L2 fill
         // (see AttackSession::testEvictionLlcParallel).
-        m.accessBatch(core, l2_evset, {BatchOp::Flush, true, -1});
-        m.clflush(core, a);
-        m.load(core, a);
-        m.accessBatch(core, l2_evset, {BatchOp::Load, true, -1});
+        m.accessBatch(kMainCore, l2_evset, {BatchOp::Flush, true, -1});
+        m.clflush(kMainCore, a);
+        m.load(kMainCore, a);
+        m.accessBatch(kMainCore, l2_evset, {BatchOp::Load, true, -1});
         if (session_.probePrivateMiss(a))
             kept.push_back(a);
     }

@@ -17,7 +17,8 @@ TopologyView::fromConfig(const MachineConfig &cfg)
 }
 
 AttackSession::AttackSession(Machine &machine, const AttackerConfig &cfg)
-    : machine_(machine), cfg_(cfg), space_(machine.newAddressSpace()),
+    : machine_(machine), evsetBudget_(cfg.evsetBudget),
+      space_(machine.newAddressSpace()),
       rng_(mix64(cfg.seed ^ 0xa77ac3))
 {
     if (!cfg.blindTopology) {
@@ -72,13 +73,13 @@ AttackSession::testEvictionLlcParallel(Addr ta, std::span<const Addr> cands,
     // path; see DESIGN.md.  The flush pass is throughput-bound and
     // cheap relative to the traversal.
     ++testCount_;
-    machine_.accessBatch(cfg_.mainCore, cands.subspan(0, n),
+    machine_.accessBatch(kMainCore, cands.subspan(0, n),
                          {BatchOp::Flush, true, -1});
-    machine_.clflush(cfg_.mainCore, ta);
-    machine_.loadShared(cfg_.mainCore, cfg_.helperCore, ta);
-    machine_.accessBatch(cfg_.mainCore, cands.subspan(0, n),
+    machine_.clflush(kMainCore, ta);
+    machine_.loadShared(kMainCore, kHelperCore, ta);
+    machine_.accessBatch(kMainCore, cands.subspan(0, n),
                          {BatchOp::Load, true,
-                          static_cast<int>(cfg_.helperCore)});
+                          static_cast<int>(kHelperCore)});
     return probeLlcMiss(ta);
 }
 
@@ -93,11 +94,11 @@ AttackSession::testEvictionSfParallel(Addr ta, std::span<const Addr> cands,
     // replacement ages.  Real implementations reset their own lines
     // the same way between trials.
     ++testCount_;
-    machine_.clflush(cfg_.mainCore, ta);
-    machine_.accessBatch(cfg_.mainCore, cands.subspan(0, n),
+    machine_.clflush(kMainCore, ta);
+    machine_.accessBatch(kMainCore, cands.subspan(0, n),
                          {BatchOp::Flush, false, -1});
-    machine_.store(cfg_.mainCore, ta);
-    machine_.accessBatch(cfg_.mainCore, cands.subspan(0, n),
+    machine_.store(kMainCore, ta);
+    machine_.accessBatch(kMainCore, cands.subspan(0, n),
                          {BatchOp::Store, true, -1});
     return probePrivateMiss(ta);
 }
@@ -107,11 +108,11 @@ AttackSession::testEvictionL2Parallel(Addr ta, std::span<const Addr> cands,
                                       std::size_t n)
 {
     ++testCount_;
-    machine_.accessBatch(cfg_.mainCore, cands.subspan(0, n),
+    machine_.accessBatch(kMainCore, cands.subspan(0, n),
                          {BatchOp::Flush, true, -1});
-    machine_.clflush(cfg_.mainCore, ta);
-    machine_.load(cfg_.mainCore, ta);
-    machine_.accessBatch(cfg_.mainCore, cands.subspan(0, n),
+    machine_.clflush(kMainCore, ta);
+    machine_.load(kMainCore, ta);
+    machine_.accessBatch(kMainCore, cands.subspan(0, n),
                          {BatchOp::Load, true, -1});
     return probePrivateMiss(ta);
 }
@@ -122,8 +123,8 @@ AttackSession::shareLine(Addr pa)
     // Flush first so the line is freshly inserted into the LLC
     // (re-accessing a private-cache-resident line never updates the
     // LLC's replacement state).
-    machine_.clflush(cfg_.mainCore, pa);
-    machine_.loadShared(cfg_.mainCore, cfg_.helperCore, pa);
+    machine_.clflush(kMainCore, pa);
+    machine_.loadShared(kMainCore, kHelperCore, pa);
 }
 
 void
@@ -132,8 +133,8 @@ AttackSession::seqSharedAccess(Addr pa)
     // Serialised candidate access with the same flush-then-access
     // discipline as the parallel traversal; the chase overhead covers
     // the serialisation and per-page TLB walk.
-    machine_.clflush(cfg_.mainCore, pa);
-    machine_.loadShared(cfg_.mainCore, cfg_.helperCore, pa);
+    machine_.clflush(kMainCore, pa);
+    machine_.loadShared(kMainCore, kHelperCore, pa);
     machine_.idle(static_cast<Cycles>(
         machine_.config().timing.chaseOverhead));
 }
@@ -141,15 +142,15 @@ AttackSession::seqSharedAccess(Addr pa)
 bool
 AttackSession::probeLlcMiss(Addr ta)
 {
-    const Cycles measured = machine_.probeLoad(cfg_.mainCore, ta);
-    return static_cast<double>(measured) > cfg_.thresholds.llcMiss;
+    const Cycles measured = machine_.probeLoad(kMainCore, ta);
+    return static_cast<double>(measured) > kLlcMissThreshold;
 }
 
 bool
 AttackSession::probePrivateMiss(Addr ta)
 {
-    const Cycles measured = machine_.timedLoad(cfg_.mainCore, ta);
-    return static_cast<double>(measured) > cfg_.thresholds.privateMiss;
+    const Cycles measured = machine_.timedLoad(kMainCore, ta);
+    return static_cast<double>(measured) > kPrivateMissThreshold;
 }
 
 } // namespace llcf

@@ -1,8 +1,9 @@
 /**
  * @file
- * Attacker-side context: which cores the attacker owns, calibrated
- * latency thresholds, construction budgets, and the TestEviction
- * primitives every pruning algorithm builds on (paper Section 4.1).
+ * Attacker-side context: the cores the attacker owns and the paper's
+ * fixed construction parameters (named constants), the per-session
+ * seed and budget, and the TestEviction primitives every pruning
+ * algorithm builds on (paper Section 4.1).
  *
  * Discipline: attack code holds translated physical line addresses as
  * opaque pointer values (the simulator's stand-in for the attacker's
@@ -61,29 +62,32 @@ struct TopologyView
     static TopologyView fromConfig(const MachineConfig &cfg);
 };
 
-/** Knobs of the attacker program. */
+/** Thread running the attack logic. */
+constexpr unsigned kMainCore = 0;
+
+/** Concurrent helper thread (Section 4.2). */
+constexpr unsigned kHelperCore = 1;
+
+/** Per-eviction-set construction attempts (paper: 10). */
+constexpr unsigned kMaxAttempts = 10;
+
+/** Backtracks allowed per attempt (paper: 20 for group testing). */
+constexpr unsigned kMaxBacktracks = 20;
+
+/** Candidate set size factor: N = factor * U * W (paper: 3). */
+constexpr double kCandidateFactor = 3.0;
+
+/** Knobs of the attacker program.  The paper's fixed attack
+ *  parameters are the constants above; the latency thresholds are
+ *  kPrivateMissThreshold / kLlcMissThreshold (sim/timing.hh). */
 struct AttackerConfig
 {
-    unsigned mainCore = 0;   //!< thread running the attack logic
-    unsigned helperCore = 1; //!< concurrent helper (Section 4.2)
-
     /** Seed of the attacker's own randomness (shuffles, retries). */
     std::uint64_t seed = 1;
-
-    LatencyThresholds thresholds;
-
-    /** Per-eviction-set construction attempts (paper: 10). */
-    unsigned maxAttempts = 10;
-
-    /** Backtracks allowed per attempt (paper: 20 for group testing). */
-    unsigned maxBacktracks = 20;
 
     /** Virtual-time budget per eviction set; Table 3 uses 1,000 ms,
      *  Table 4 (with candidate filtering) uses 100 ms. */
     Cycles evsetBudget = msToCycles(1000.0);
-
-    /** Candidate set size factor: N = factor * U * W (paper: 3). */
-    double candidateFactor = 3.0;
 
     /**
      * Blind-topology mode: the session starts with no shared-geometry
@@ -104,9 +108,12 @@ class AttackSession
     AttackSession(Machine &machine, const AttackerConfig &cfg);
 
     Machine &machine() { return machine_; }
-    const AttackerConfig &config() const { return cfg_; }
     AddressSpace &space() { return *space_; }
     Rng &rng() { return rng_; }
+
+    /** Virtual-time budget per eviction set (AttackerConfig's; the
+     *  seed and blind mode are consumed at construction). */
+    Cycles evsetBudget() const { return evsetBudget_; }
 
     /** Number of TestEviction executions so far (all flavours). */
     std::uint64_t testCount() const { return testCount_; }
@@ -162,10 +169,12 @@ class AttackSession
     /** One serialised shared access (Prime+Scope's candidate step). */
     void seqSharedAccess(Addr pa);
 
-    /** Non-promoting timed probe; true iff measured > llcMiss. */
+    /** Non-promoting timed probe; true iff measured >
+     *  kLlcMissThreshold. */
     bool probeLlcMiss(Addr ta);
 
-    /** Timed load; true iff measured > privateMiss (SF entry gone). */
+    /** Timed load; true iff measured > kPrivateMissThreshold (SF
+     *  entry gone). */
     bool probePrivateMiss(Addr ta);
 
     /** True iff the wall-clock deadline passed. */
@@ -204,7 +213,7 @@ class AttackSession
 
   private:
     Machine &machine_;
-    AttackerConfig cfg_;
+    Cycles evsetBudget_;
     std::unique_ptr<AddressSpace> space_;
     Rng rng_;
     std::uint64_t testCount_ = 0;

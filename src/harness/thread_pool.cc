@@ -124,6 +124,10 @@ resolveThreadCount(unsigned requested)
     if (requested > 0)
         return requested;
     const std::uint64_t env = envU64("LLCF_THREADS", 0);
+    if (env > kMaxThreads)
+        fatal("LLCF_THREADS: %llu workers exceeds the ceiling of %llu",
+              static_cast<unsigned long long>(env),
+              static_cast<unsigned long long>(kMaxThreads));
     if (env > 0)
         return static_cast<unsigned>(env);
     const unsigned hw = std::thread::hardware_concurrency();

@@ -14,6 +14,7 @@
 #define LLCF_HARNESS_THREAD_POOL_HH
 
 #include <condition_variable>
+#include <cstdint>
 #include <cstddef>
 #include <deque>
 #include <exception>
@@ -79,8 +80,16 @@ class ThreadPool
 };
 
 /**
+ * Ceiling on LLCF_THREADS.  Far above any host this runs on; a larger
+ * value is a typo (or a wrapped negative), and honouring it would ask
+ * the OS for that many threads.
+ */
+constexpr std::uint64_t kMaxThreads = 1024;
+
+/**
  * Worker count to use: @p requested if non-zero, else the LLCF_THREADS
- * environment override, else the hardware concurrency (min 1).
+ * environment override, else the hardware concurrency (min 1).  An
+ * LLCF_THREADS above kMaxThreads is fatal before any thread exists.
  */
 unsigned resolveThreadCount(unsigned requested = 0);
 

@@ -465,8 +465,8 @@ makeBuiltins()
     {
         // Control for the kill cell: same machine and algorithm, but
         // the interval spans many build windows, so construction
-        // survives — together the two cells bracket the re-key
-        // interval at which the attack dies.
+        // survives (declared below) — together the two cells bracket
+        // the re-key interval at which the attack dies.
         ScenarioSpec s = base(
             "defense-rekey-slow-tiny-build",
             "Control: re-keying slower than the build window leaves "
@@ -475,6 +475,10 @@ makeBuiltins()
         s.defaultTrials = 6;
         s.defense.kind = DefenseKind::KeyedRekey;
         s.defense.rekeyIntervalMs = 0.5;
+        s.expect = {Ex::Series::OutcomeRate, "success", Ex::Cmp::AtLeast,
+                    0.50,
+                    "slow re-keying now kills eviction-set construction "
+                    "too (the kill/control bracket is gone)"};
         reg.add(s);
     }
     {
@@ -508,7 +512,8 @@ makeBuiltins()
     }
     {
         // Step 0 under a static keyed hash: blind calibration measures
-        // geometry through the randomized mapping.
+        // geometry through the randomized mapping (the control of the
+        // fast re-key cell below; declared).
         ScenarioSpec s = calibBase(
             "defense-rekey-off-tiny-calib",
             "Blind calibration through a static keyed index hash",
@@ -519,6 +524,9 @@ makeBuiltins()
         s.calibSamplePages = 96;
         s.defense.kind = DefenseKind::KeyedRekey;
         s.defense.rekeyIntervalMs = 0.0;
+        s.expect = {Ex::Series::OutcomeRate, "calibrated", Ex::Cmp::AtLeast,
+                    0.50,
+                    "a static keyed hash now stops blind calibration"};
         reg.add(s);
     }
     {

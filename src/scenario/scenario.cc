@@ -367,7 +367,6 @@ ScenarioSpec::calibrationConfig() const
 {
     CalibrationConfig c;
     c.budgetMs = calibBudgetMs;
-    c.targets = calibTargets;
     c.samplePages = calibSamplePages;
     // Sanity-cap measured associativities by the spec's own prior,
     // with 2x slack: assumedMaxWays sizes the pool and may sit below
@@ -396,7 +395,6 @@ ScenarioRig::ScenarioRig(const ScenarioSpec &spec, std::uint64_t seed)
     AttackerConfig acfg;
     acfg.seed = streamSeed(seed, kAttackerActor);
     acfg.evsetBudget = msToCycles(spec.evsetBudgetMs);
-    acfg.candidateFactor = spec.candidateFactor;
     acfg.blindTopology = spec.blind();
     session = std::make_unique<AttackSession>(machine, acfg);
     // A blind attacker cannot size its pool from the machine's true
@@ -405,10 +403,8 @@ ScenarioRig::ScenarioRig(const ScenarioSpec &spec, std::uint64_t seed)
         *session,
         spec.blind()
             ? CandidatePool::requiredPagesBlind(
-                  spec.assumedMaxUncertainty, spec.assumedMaxWays,
-                  spec.candidateFactor)
-            : CandidatePool::requiredPages(machine,
-                                           spec.candidateFactor));
+                  spec.assumedMaxUncertainty, spec.assumedMaxWays)
+            : CandidatePool::requiredPages(machine));
     victimSeed_ = streamSeed(seed, kVictimActor);
 }
 

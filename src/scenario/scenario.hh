@@ -121,7 +121,6 @@ struct ScenarioSpec
 
     // --------------------------------------------- attacker knobs
     double evsetBudgetMs = 100.0; //!< per-set construction budget
-    double candidateFactor = 3.0; //!< pool size factor (N = f*U*W)
 
     // --------------------------------------------- stage-specific
     unsigned tracesPerVictim = 2;    //!< EndToEnd: signings monitored
@@ -142,8 +141,9 @@ struct ScenarioSpec
     /** Per-victim noise rotation; empty = every victim uses noise. */
     std::vector<std::string> fleetNoises;
 
-    /** Victim v's target page-line index: fleetLineIndex(v). */
-    unsigned fleetLineIndexBase = 21;
+    /** Victim v's target page-line index: fleetLineIndex(v).  The
+     *  base is fixed; the per-victim step is a fleet knob. */
+    static constexpr unsigned fleetLineIndexBase = 21;
     unsigned fleetLineIndexStep = 13;
 
     /** (fleetLineIndexBase + fleetLineIndexStep * v) % 64. */
@@ -179,9 +179,10 @@ struct ScenarioSpec
     /** A victim's key counts as recovered iff the correct SF set was
      *  monitored and the mean recovered fraction / bit error rate of
      *  its traces clear these bands.  With key rotation the same
-     *  bands apply per epoch (DESIGN.md §11). */
-    double keyMinRecoveredFraction = 0.35;
-    double keyMaxBitErrorRate = 0.35;
+     *  bands apply per epoch (DESIGN.md §11).  Fixed for every
+     *  cell. */
+    static constexpr double keyMinRecoveredFraction = 0.35;
+    static constexpr double keyMaxBitErrorRate = 0.35;
 
     // ------------------------------------------------ traffic axis
     // Heavy-traffic realism: which service family the victim runs,
@@ -234,7 +235,6 @@ struct ScenarioSpec
     bool blindTopology = false;
 
     double calibBudgetMs = 400.0; //!< Step-0 virtual-time budget
-    unsigned calibTargets = 2;    //!< independent calibration targets
     unsigned calibSamplePages = 160; //!< U-estimator scan window
 
     /** Blind pool-sizing priors (see requiredPagesBlind): upper

@@ -163,7 +163,7 @@ class Machine
     /**
      * One timed load (fenced rdtscp pair).  Returns the measured
      * latency including measurement overhead — the value an attacker
-     * compares against LatencyThresholds.
+     * compares against kPrivateMissThreshold / kLlcMissThreshold.
      */
     Cycles timedLoad(unsigned core, Addr pa);
 

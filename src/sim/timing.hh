@@ -89,26 +89,22 @@ struct TimingParams
     }
 };
 
-/**
- * Measured-latency classification thresholds an attacker would
- * calibrate.  "Measured" includes timedOverhead.
- */
-struct LatencyThresholds
-{
-    /**
-     * Above this, the line was not in the prober's private caches:
-     * its SF entry is gone (LLC hit or DRAM).  Between l2Hit and
-     * llcHit measured latencies.
-     */
-    double privateMiss = 135.0;
+// Measured-latency classification thresholds an attacker would
+// calibrate.  "Measured" includes timedOverhead.
 
-    /**
-     * Above this, the line was not even in the LLC (DRAM fetch).
-     * Between llcHit and dram measured latencies, with headroom for
-     * cloud contention on the LLC path.
-     */
-    double llcMiss = 290.0;
-};
+/**
+ * Above this, the line was not in the prober's private caches: its SF
+ * entry is gone (LLC hit or DRAM).  Between l2Hit and llcHit measured
+ * latencies.
+ */
+constexpr double kPrivateMissThreshold = 135.0;
+
+/**
+ * Above this, the line was not even in the LLC (DRAM fetch).  Between
+ * llcHit and dram measured latencies, with headroom for cloud
+ * contention on the LLC path.
+ */
+constexpr double kLlcMissThreshold = 290.0;
 
 } // namespace llcf
 

@@ -3,22 +3,19 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/log.hh"
-
 namespace llcf {
+
+static_assert(kAesEncryptions > 0,
+              "aes victim needs at least one encryption per request");
+static_assert(kVictimDecoyLines <= 3,
+              "aes victim supports at most 3 decoy lines (one per "
+              "sibling table)");
 
 AesTableVictim::AesTableVictim(Machine &machine, const VictimConfig &cfg)
     : Victim(machine, cfg),
       rng_(mix64(cfg.seed ^ 0xae51)),
       keyRng_(mix64(cfg.seed ^ 0xae52))
 {
-    if (cfg_.aesEncryptions == 0)
-        fatal("aes victim needs at least one encryption per request");
-    if (cfg_.decoyLines > 3)
-        fatal("aes victim supports at most 3 decoy lines (one per "
-              "sibling table), got %u",
-              cfg_.decoyLines);
-
     rotateKey();
 
     // The T-table page is mapped once and keeps its VA-PA mapping
@@ -32,7 +29,7 @@ AesTableVictim::AesTableVictim(Machine &machine, const VictimConfig &cfg)
     // Decoys: the same in-table line of the sibling tables — they
     // carry the same access statistics as the monitored line, which
     // is exactly the false-positive shape the scanner must reject.
-    for (unsigned i = 0; i < cfg_.decoyLines; ++i) {
+    for (unsigned i = 0; i < kVictimDecoyLines; ++i) {
         const unsigned idx =
             ((monitoredTable() + 1 + i) % 4) * 16 + monitoredLine();
         decoyPas_.push_back(linePas_[idx]);
@@ -48,7 +45,7 @@ AesTableVictim::family() const
 std::size_t
 AesTableVictim::expectedIterations() const
 {
-    return cfg_.aesEncryptions;
+    return kAesEncryptions;
 }
 
 double
@@ -84,7 +81,7 @@ AesTableVictim::generateExecution(Cycles request_start)
     Execution exec;
     exec.requestStart = request_start;
 
-    const std::size_t windows = cfg_.aesEncryptions;
+    const std::size_t windows = kAesEncryptions;
     const double loop_time = static_cast<double>(windows) *
                              static_cast<double>(cfg_.iterationCycles);
     const double other_time =

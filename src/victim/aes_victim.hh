@@ -39,7 +39,7 @@ class AesTableVictim final : public Victim
 
     VictimFamily family() const override;
 
-    /** One request runs cfg.aesEncryptions encryption windows. */
+    /** One request runs kAesEncryptions encryption windows. */
     std::size_t expectedIterations() const override;
 
     /**

@@ -130,7 +130,7 @@ EcdsaLadderVictim::EcdsaLadderVictim(Machine &machine,
         code_base + (static_cast<Addr>(cfg_.targetLineIndex)
                      << kLineBits));
     // Decoy lines: MAdd/MDouble bodies on neighbouring lines/pages.
-    for (unsigned i = 0; i < cfg_.decoyLines; ++i) {
+    for (unsigned i = 0; i < kVictimDecoyLines; ++i) {
         const Addr va = code_base + ((i + 1) % 4) * kPageBytes +
             (((cfg_.targetLineIndex + 7 * (i + 1)) % kLinesPerPage)
              << kLineBits);

@@ -52,6 +52,12 @@ enum class VictimFamily {
 /** Human-readable family name (cell listings, conformance suite). */
 const char *victimFamilyName(VictimFamily family);
 
+/** Number of decoy code/data lines accessed at ladder frequency. */
+constexpr unsigned kVictimDecoyLines = 3;
+
+/** AES family: encryptions per request (leakage windows). */
+constexpr unsigned kAesEncryptions = 48;
+
 /** Victim service parameters. */
 struct VictimConfig
 {
@@ -81,9 +87,6 @@ struct VictimConfig
     /** Page-line index of the target line inside the victim binary. */
     unsigned targetLineIndex = 21;
 
-    /** Number of decoy code/data lines accessed at ladder frequency. */
-    unsigned decoyLines = 3;
-
     /**
      * Lifetime request quota (0 = unlimited).  Models a rate-limited
      * or short-lived victim service: once the quota is exhausted,
@@ -99,9 +102,6 @@ struct VictimConfig
      * independently (DESIGN.md §11).
      */
     std::uint64_t rotateKeys = 0;
-
-    /** AES family: encryptions per request (leakage windows). */
-    unsigned aesEncryptions = 48;
 
     /**
      * Open-loop request arrivals.  Inactive (the default) keeps the

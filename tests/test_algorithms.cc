@@ -50,7 +50,7 @@ TEST_P(PruneAlgoTest, BuildsValidMinimalSfEvictionSet)
     AttackerConfig cfg;
     cfg.seed = 43;
     AttackSession s(m, cfg);
-    CandidatePool pool(s, CandidatePool::requiredPages(m, 3.0));
+    CandidatePool pool(s, CandidatePool::requiredPages(m));
     auto cands = pool.candidatesAt(12);
     const Addr ta = cands.front();
     cands.erase(cands.begin());
@@ -78,7 +78,7 @@ TEST_P(PruneAlgoTest, SucceedsUnderModerateNoise)
     AttackerConfig cfg;
     cfg.seed = 47;
     AttackSession s(m, cfg);
-    CandidatePool pool(s, CandidatePool::requiredPages(m, 3.0));
+    CandidatePool pool(s, CandidatePool::requiredPages(m));
     auto cands = pool.candidatesAt(3);
     const Addr ta = cands.front();
     cands.erase(cands.begin());
@@ -106,7 +106,7 @@ TEST(PruneAlgos, FailsCleanlyWithoutEnoughCongruentCandidates)
 {
     Machine m(tinyTest(), silent(), 53);
     AttackSession s(m, AttackerConfig{});
-    CandidatePool pool(s, CandidatePool::requiredPages(m, 3.0));
+    CandidatePool pool(s, CandidatePool::requiredPages(m));
     auto cands = pool.candidatesAt(7);
     const Addr ta = cands.front();
     // Strip out all but W-1 congruent candidates.
@@ -133,7 +133,7 @@ TEST(PruneAlgos, DeadlineIsHonoured)
 {
     Machine m(tinyTest(), silent(), 59);
     AttackSession s(m, AttackerConfig{});
-    CandidatePool pool(s, CandidatePool::requiredPages(m, 3.0));
+    CandidatePool pool(s, CandidatePool::requiredPages(m));
     auto cands = pool.candidatesAt(8);
     const Addr ta = cands.front();
     cands.erase(cands.begin());
@@ -159,7 +159,7 @@ TEST(Verify, AcceptsRealAndRejectsFakeEvictionSets)
 {
     Machine m(tinyTest(), silent(), 61);
     AttackSession s(m, AttackerConfig{});
-    CandidatePool pool(s, CandidatePool::requiredPages(m, 3.0));
+    CandidatePool pool(s, CandidatePool::requiredPages(m));
     auto cands = pool.candidatesAt(10);
     const Addr ta = cands.front();
     const unsigned target = m.sharedSetOf(ta);
@@ -184,7 +184,7 @@ TEST(Builder, PageOffsetCampaignCoversAllSets)
     cfg.seed = 67;
     cfg.evsetBudget = msToCycles(100.0);
     AttackSession s(m, cfg);
-    CandidatePool pool(s, CandidatePool::requiredPages(m, 3.0));
+    CandidatePool pool(s, CandidatePool::requiredPages(m));
     EvictionSetBuilder builder(s, PruneAlgo::BinS, true);
     auto out = builder.buildAtLineIndex(pool, 14);
     EXPECT_EQ(out.expectedSets, m.config().sf.uncertainty());
@@ -204,7 +204,7 @@ TEST(Builder, WholeSystemSubsetCampaign)
     cfg.seed = 71;
     cfg.evsetBudget = msToCycles(100.0);
     AttackSession s(m, cfg);
-    CandidatePool pool(s, CandidatePool::requiredPages(m, 3.0));
+    CandidatePool pool(s, CandidatePool::requiredPages(m));
     EvictionSetBuilder builder(s, PruneAlgo::BinS, true);
     auto out = builder.buildWholeSystem(pool, {0, 13, 40});
     EXPECT_EQ(out.expectedSets, m.config().sf.uncertainty() * 3);
@@ -223,7 +223,7 @@ TEST(Builder, UnfilteredBulkAlsoWorks)
     cfg.seed = 73;
     cfg.evsetBudget = msToCycles(200.0);
     AttackSession s(m, cfg);
-    CandidatePool pool(s, CandidatePool::requiredPages(m, 3.0));
+    CandidatePool pool(s, CandidatePool::requiredPages(m));
     EvictionSetBuilder builder(s, PruneAlgo::GtOp, false);
     auto out = builder.buildAtLineIndex(pool, 2);
     EXPECT_GE(out.successRate(), 0.8);

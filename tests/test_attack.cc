@@ -43,7 +43,7 @@ struct AttackRig
                        MachineConfig cfg = tinyTest())
         : machine(cfg, profile, seed),
           session(machine, attackerConfig(seed)),
-          pool(session, CandidatePool::requiredPages(machine, 3.0))
+          pool(session, CandidatePool::requiredPages(machine))
     {
     }
 
@@ -69,12 +69,13 @@ TEST(GroundTruthEvset, ProducesCongruentSet)
 
 TEST(MatchDetections, CountsWithinEpsilonOnly)
 {
+    static_assert(kCovertEpsilon == 500);
     EXPECT_DOUBLE_EQ(matchDetections({1000, 2000, 3000},
-                                     {1100, 2600, 3200}, 500),
+                                     {1100, 2600, 3200}),
                      2.0 / 3.0);
-    EXPECT_DOUBLE_EQ(matchDetections({1000}, {1000}, 500), 0.0);
-    EXPECT_DOUBLE_EQ(matchDetections({1000}, {1500}, 500), 1.0);
-    EXPECT_DOUBLE_EQ(matchDetections({}, {123}, 500), 0.0);
+    EXPECT_DOUBLE_EQ(matchDetections({1000}, {1000}), 0.0);
+    EXPECT_DOUBLE_EQ(matchDetections({1000}, {1500}), 1.0);
+    EXPECT_DOUBLE_EQ(matchDetections({}, {123}), 0.0);
 }
 
 class MonitorTest : public ::testing::Test
@@ -267,8 +268,7 @@ TEST(TraceClassifier, DegeneratePsdIsNeverTheTarget)
     // Default parameters still produce full-width feature rows.
     TraceClassifier healthy{ScannerParams{}};
     const auto ok = healthy.features({1000, 5000, 20000});
-    EXPECT_EQ(ok.size(),
-              healthy.params().welch.segmentLength / 2 + 1);
+    EXPECT_EQ(ok.size(), WelchParams{}.segmentLength / 2 + 1);
 }
 
 TEST_F(ScannerTestRig, ScannerFindsTargetSet)
@@ -406,7 +406,7 @@ TEST(Extractor, BoundaryPairingPinnedAcrossReplKinds)
     // ladderEnd, exactly like EndToEndAttack, so the closing
     // boundary detection lands inside the trace.
     NonceExtractor extractor;
-    const Cycles tail_slack = extractor.params().minIteration / 2;
+    const Cycles tail_slack = kExtractMinIteration / 2;
     // Parallel probing detects boundary fetches less reliably under
     // Tree-PLRU and Random replacement (re-primes land differently),
     // so the recovered-fraction floor is policy-specific; the bit
@@ -457,7 +457,7 @@ TEST(Extractor, EmptyAndDegenerateTraces)
     EXPECT_TRUE(extractor.extract({}).empty());
     EXPECT_TRUE(extractor.extract({12345}).empty());
     // Two accesses exactly one iteration apart: one bit, value 1
-    // (no midpoint access, midpointMeansZero convention).
+    // (no midpoint access: the midpoint-means-zero convention).
     auto bits = extractor.extract({10000, 19700});
     ASSERT_EQ(bits.size(), 1u);
     EXPECT_EQ(bits[0].bit, 1);

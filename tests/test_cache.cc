@@ -15,6 +15,7 @@
 #include "cache/geometry.hh"
 #include "cache/replacement.hh"
 #include "cache/slice_hash.hh"
+#include "repl_policy.hh"
 
 namespace llcf {
 namespace {

@@ -170,16 +170,6 @@ TEST(Stats, PercentileInterpolates)
     EXPECT_DOUBLE_EQ(s.percentile(100.0), 100.0);
 }
 
-TEST(Stats, MergeCombinesSamples)
-{
-    SampleStats a, b;
-    a.add(1.0);
-    b.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-}
-
 TEST(Stats, EmptyStatsAreSafe)
 {
     SampleStats s;
@@ -307,14 +297,39 @@ TEST(FlatMap, EmplaceFindAndSortedIteration)
 TEST(Options, EnvParsing)
 {
     setenv("LLCF_TEST_U64", "123", 1);
-    setenv("LLCF_TEST_DBL", "2.5", 1);
     setenv("LLCF_TEST_BOOL", "false", 1);
     setenv("LLCF_TEST_STR", "hello", 1);
     EXPECT_EQ(envU64("LLCF_TEST_U64", 0), 123u);
-    EXPECT_DOUBLE_EQ(envDouble("LLCF_TEST_DBL", 0.0), 2.5);
     EXPECT_FALSE(envBool("LLCF_TEST_BOOL", true));
     EXPECT_EQ(envString("LLCF_TEST_STR", ""), "hello");
     EXPECT_EQ(envU64("LLCF_TEST_UNSET_XYZ", 77), 77u);
+    // Base 0: hex and octal keep working.
+    setenv("LLCF_TEST_U64", "0x1f", 1);
+    EXPECT_EQ(envU64("LLCF_TEST_U64", 0), 31u);
+    setenv("LLCF_TEST_U64", "010", 1);
+    EXPECT_EQ(envU64("LLCF_TEST_U64", 0), 8u);
+    setenv("LLCF_TEST_U64", "18446744073709551615", 1);
+    EXPECT_EQ(envU64("LLCF_TEST_U64", 0), ~0ull);
+    unsetenv("LLCF_TEST_U64");
+}
+
+TEST(Options, MalformedNumbersAreFatal)
+{
+    // A bare strtoull would wrap --threads=-1 to 2^64 - 1, read
+    // --seed=abc as 0 and --trials=8x as 8; each must stop instead,
+    // naming the variable.
+    for (const char *bad : {"-1", "abc", "8x", " 8", "+8", "0x",
+                            "18446744073709551616", "1.5"}) {
+        EXPECT_DEATH(
+            {
+                setenv("LLCF_TEST_BAD", bad, 1);
+                (void)envU64("LLCF_TEST_BAD", 0);
+            },
+            "LLCF_TEST_BAD: .* is not a whole unsigned number")
+            << bad;
+    }
+    EXPECT_DEATH((void)parseU64("--stop-after-shards", ""),
+                 "--stop-after-shards: .* is not a whole unsigned");
 }
 
 } // namespace

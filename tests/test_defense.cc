@@ -18,6 +18,7 @@
 #include "noise/profile.hh"
 #include "scenario/registry.hh"
 #include "scenario/scenario.hh"
+#include "repl_policy.hh"
 #include "sim/machine.hh"
 
 namespace llcf {

@@ -33,7 +33,7 @@ class EvsetPrimitiveTest : public ::testing::Test
     EvsetPrimitiveTest()
         : machine_(tinyTest(), silent(), 21),
           session_(machine_, AttackerConfig{}),
-          pool_(session_, CandidatePool::requiredPages(machine_, 3.0))
+          pool_(session_, CandidatePool::requiredPages(machine_))
     {
     }
 
@@ -102,7 +102,7 @@ TEST_F(EvsetPrimitiveTest, CloudNoiseCausesFalsePositives)
     // the rate is amplified to keep the trial count manageable.
     Machine noisy(tinyTest(), customCloud(400.0), 23);
     AttackSession s(noisy, AttackerConfig{});
-    CandidatePool pool(s, CandidatePool::requiredPages(noisy, 3.0));
+    CandidatePool pool(s, CandidatePool::requiredPages(noisy));
     auto cands = pool.candidatesAt(2);
     const Addr ta = cands.back();
     cands.pop_back();
@@ -138,7 +138,7 @@ TEST(CandidatePool, SizingMatchesPaperFormula)
 {
     Machine m(skylakeSp(28), silent(), 25);
     // 3 * U * W = 3 * 896 * 12 = 32,256 for a 28-slice Skylake-SP.
-    EXPECT_EQ(CandidatePool::requiredPages(m, 3.0), 32256u);
+    EXPECT_EQ(CandidatePool::requiredPages(m), 32256u);
 }
 
 TEST(CandidatePool, CandidatesHaveRequestedOffsetAndAreUnique)
@@ -162,7 +162,7 @@ TEST(CandidatePool, EveryTargetSetIsCoveredWithMargin)
     // have at least W congruent candidates (whp).
     Machine m(tinyTest(), silent(), 29);
     AttackSession s(m, AttackerConfig{});
-    CandidatePool pool(s, CandidatePool::requiredPages(m, 3.0));
+    CandidatePool pool(s, CandidatePool::requiredPages(m));
     auto cands = pool.candidatesAt(9);
     std::map<unsigned, unsigned> per_set;
     for (Addr a : cands)
@@ -210,7 +210,7 @@ class FilterTest : public ::testing::Test
     FilterTest()
         : machine_(tinyTest(), silent(), 35),
           session_(machine_, AttackerConfig{}),
-          pool_(session_, CandidatePool::requiredPages(machine_, 3.0)),
+          pool_(session_, CandidatePool::requiredPages(machine_)),
           filter_(session_)
     {
     }

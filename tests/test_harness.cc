@@ -183,6 +183,27 @@ TEST(ThreadPool, ResolveThreadCountHonoursEnv)
     EXPECT_GE(resolveThreadCount(0), 1u);
 }
 
+TEST(ThreadPool, ResolveThreadCountRejectsHugeOrMalformedEnv)
+{
+    // Only resolveThreadCount runs here: no pool is ever built, so a
+    // broken check cannot start thousands of threads.
+    EXPECT_DEATH(
+        {
+            setenv("LLCF_THREADS", "1025", 1);
+            (void)resolveThreadCount(0);
+        },
+        "LLCF_THREADS: 1025 workers exceeds the ceiling of 1024");
+    EXPECT_DEATH(
+        {
+            setenv("LLCF_THREADS", "-1", 1);
+            (void)resolveThreadCount(0);
+        },
+        "LLCF_THREADS: '-1' is not a whole unsigned number");
+    setenv("LLCF_THREADS", "1024", 1);
+    EXPECT_EQ(resolveThreadCount(0), 1024u);
+    unsetenv("LLCF_THREADS");
+}
+
 // ------------------------------------------------------------ RNG streams
 
 TEST(RngStreams, PositionalDerivationIsStateless)

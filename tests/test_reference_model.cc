@@ -27,6 +27,7 @@
 
 #include "cache/cache_array.hh"
 #include "common/types.hh"
+#include "repl_policy.hh"
 
 namespace llcf {
 namespace {

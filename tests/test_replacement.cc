@@ -14,8 +14,8 @@
 #include <set>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "common/rng.hh"
+#include "repl_policy.hh"
 
 namespace llcf {
 namespace {

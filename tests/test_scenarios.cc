@@ -396,6 +396,8 @@ TEST(ScenarioExpectations, HardGatedCellsDeclareTheirBounds)
         // ... and the declared "attack survives" regimes.
         {"defense-rekey-off-tiny-e2e", "0.5", "0.4999"},
         {"defense-sfpart-icx-build", "0.5", "0.4999"},
+        {"defense-rekey-slow-tiny-build", "0.5", "0.4999"},
+        {"defense-rekey-off-tiny-calib", "0.5", "0.4999"},
     };
     for (const Case &c : cases) {
         const ScenarioSpec *spec = builtinScenarios().find(c.cell);

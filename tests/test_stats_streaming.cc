@@ -4,7 +4,7 @@
  * summation (including the pathological magnitude-spread sets the old
  * naive accumulation got wrong), StreamingStats' head-phase
  * bit-equivalence with SampleStats, its sketch-phase accuracy beyond
- * the head, merge determinism, and exact JSON state round-trips.
+ * the head, and exact JSON state round-trips.
  */
 
 #include <gtest/gtest.h>
@@ -34,17 +34,6 @@ TEST(CompensatedSumTest, ExactOnCancellingMagnitudes)
     for (double v : {1.0, 1e100, 1.0, -1e100})
         naive += v;
     EXPECT_DOUBLE_EQ(naive, 0.0); // documents why compensation exists
-}
-
-TEST(CompensatedSumTest, MergePreservesCompensation)
-{
-    CompensatedSum a, b;
-    a.add(1.0);
-    a.add(1e100);
-    b.add(1.0);
-    b.add(-1e100);
-    a.add(b);
-    EXPECT_DOUBLE_EQ(a.value(), 2.0);
 }
 
 // ----------------------------- SampleStats regression (satellite fix)
@@ -129,35 +118,6 @@ TEST(StreamingStatsTest, SketchPhaseTracksExactStats)
     }
 }
 
-TEST(StreamingStatsTest, MergeOfExactOtherEqualsSequentialAdd)
-{
-    // Folding shard B's streaming aggregate into shard A must equal
-    // having streamed all samples through one accumulator, whenever B
-    // is still in its exact phase (the campaign fold path replays B's
-    // head verbatim).
-    Rng rng(3);
-    std::vector<double> all;
-    for (int i = 0; i < 200; ++i)
-        all.push_back(rng.nextDouble() * 50.0);
-
-    StreamingStats sequential;
-    for (double v : all)
-        sequential.add(v);
-
-    StreamingStats a, b;
-    for (std::size_t i = 0; i < all.size(); ++i)
-        (i < 140 ? a : b).add(all[i]);
-    ASSERT_TRUE(b.exact());
-    a.merge(b);
-
-    EXPECT_EQ(a.count(), sequential.count());
-    EXPECT_EQ(jsonNumber(a.sum()), jsonNumber(sequential.sum()));
-    EXPECT_EQ(jsonNumber(a.mean()), jsonNumber(sequential.mean()));
-    EXPECT_EQ(a.min(), sequential.min());
-    EXPECT_EQ(a.max(), sequential.max());
-    EXPECT_EQ(jsonNumber(a.median()), jsonNumber(sequential.median()));
-}
-
 TEST(StreamingStatsTest, StateRoundTripsExactly)
 {
     Rng rng(23);
@@ -191,13 +151,12 @@ TEST(StreamingStatsTest, StateRoundTripsExactly)
 
 // ------------------------------------------------------- SuccessRate
 
-TEST(SuccessRateTest, CountsConstructorAndMerge)
+TEST(SuccessRateTest, CountsConstructor)
 {
-    SuccessRate a(10, 4), b(6, 6);
-    a.merge(b);
-    EXPECT_EQ(a.trials(), 16u);
-    EXPECT_EQ(a.successes(), 10u);
-    EXPECT_DOUBLE_EQ(a.rate(), 10.0 / 16.0);
+    SuccessRate a(10, 4);
+    EXPECT_EQ(a.trials(), 10u);
+    EXPECT_EQ(a.successes(), 4u);
+    EXPECT_DOUBLE_EQ(a.rate(), 0.4);
     EXPECT_DEATH(SuccessRate(3, 4), "successes");
 }
 

@@ -44,7 +44,7 @@ TEST_F(VictimTest, TargetLineHasConfiguredOffset)
 {
     EXPECT_EQ(pageLineIndex(victim_->targetLinePa()),
               cfg_.targetLineIndex);
-    EXPECT_EQ(victim_->decoyPas().size(), cfg_.decoyLines);
+    EXPECT_EQ(victim_->decoyPas().size(), kVictimDecoyLines);
     for (Addr d : victim_->decoyPas())
         EXPECT_NE(lineAlign(d), lineAlign(victim_->targetLinePa()));
 }

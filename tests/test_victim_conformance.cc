@@ -232,7 +232,7 @@ TEST(AesVictimConformance, PlaintextsAccompanyEveryWindow)
     auto v = makeVictim(m, cfg);
     const auto exec = v->triggerRequest(m.now() + 1000);
     EXPECT_EQ(exec.plaintexts.size(), exec.bits.size());
-    EXPECT_EQ(exec.bits.size(), cfg.aesEncryptions);
+    EXPECT_EQ(exec.bits.size(), kAesEncryptions);
 }
 
 TEST(AesVictimConformance, GroundTruthBitsMatchTableLookups)
