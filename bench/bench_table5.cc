@@ -51,9 +51,9 @@ runCell(ExperimentSuite &suite, MonitorKind kind)
         params.accesses = 300;
         auto out = runCovertExperiment(*rig.session, kind, evset, alt,
                                        sender, params);
-        for (double v : out.primeLatency.samples())
+        for (double v : out.latency.prime.samples())
             rec.metric("prime_cyc", v);
-        for (double v : out.probeLatency.samples())
+        for (double v : out.latency.probe.samples())
             rec.metric("probe_cyc", v);
         rec.outcome("detected", out.detectionRate > 0.5);
     });

@@ -21,9 +21,11 @@
 #   defense     the defense suite
 #   traffic     the traffic suite
 #   must-fail   runs the gates must reject: an empty or unknown
-#               selection, an off-suite cell, and one cell of each
+#               selection, an off-suite cell, one cell of each
 #               result type against a baseline with a gated rate
-#               flipped
+#               flipped, and a baseline the JSON parser must refuse
+#               with a message (100,000-deep nesting, a truncated
+#               BENCH_calib.json)
 #
 # A suite gate runs bench_suite --suite=<suite> --smoke at 1 thread,
 # gated against the committed BENCH_<suite>.json when there is one
@@ -191,6 +193,14 @@ gate_rejects() {
     [ "$rc" -eq 1 ] && grep -q "^FAIL $want" rejected.log
 }
 
+# Succeeds iff the command exits 1 with a "baseline: ..." parse
+# message (a crash exits 139 and fails this).
+baseline_refused() {
+    local rc=0
+    "$@" > refused.log 2>&1 || rc=$?
+    [ "$rc" -eq 1 ] && grep -q "^baseline: .*JSON parse error" refused.log
+}
+
 # Write flipped_<suite>.json: the committed baseline with one gated
 # rate of one cell flipped (0 <-> 1).
 flip_baseline() {
@@ -233,6 +243,17 @@ gate_must_fail() {
         --scenario=campaign-fork-tiny-silent-96 \
         --json-out=flip_e2e.json --baseline=flipped_e2e.json ||
         fail "e2e band gate accepted a flipped rate"
+    # An unparsable baseline is a message and exit 1, never a crash:
+    # nesting far past the parser's depth cap, and a truncated file.
+    python3 -c 'print("[" * 100000)' > deep_baseline.json
+    head -c 4096 "$repo_root/BENCH_calib.json" > truncated_calib.json
+    local bad
+    for bad in deep_baseline.json truncated_calib.json; do
+        baseline_refused ./bench_suite --suite=calib --smoke \
+            --scenario=calib-tiny-lru-silent --json-out=refused.json \
+            --baseline="$bad" ||
+            fail "baseline $bad not refused with a message and exit 1"
+    done
 }
 
 for gate in "${gates[@]}"; do

@@ -75,13 +75,11 @@ runCovertExperiment(AttackSession &session, MonitorKind kind,
     auto monitor = PrimeProbeMonitor::make(kind, session,
                                            std::move(evset),
                                            std::move(alt_evset));
-    const std::vector<Cycles> detections = monitor->collectTrace(deadline);
-    m.removeStream(stream);
-
     CovertOutcome out;
+    const std::vector<Cycles> detections =
+        monitor->collectTrace(deadline, &out.latency);
+    m.removeStream(stream);
     out.detectionRate = matchDetections(sender_times, detections);
-    out.primeLatency = monitor->primeStats();
-    out.probeLatency = monitor->probeStats();
     return out;
 }
 

@@ -4,7 +4,8 @@
  * Section 6.1, Table 5 and Figure 6): a sender on another core
  * accesses an agreed SF set at a fixed interval; a receiver monitor
  * reports the fraction of sender accesses it detects within the
- * paper's error bound (kCovertEpsilon = 500 cycles).
+ * paper's error bound (kCovertEpsilon = 500 cycles).  It is the only
+ * experiment that logs the monitor's prime/probe latencies.
  */
 
 #ifndef LLCF_ATTACK_COVERT_HH
@@ -32,8 +33,7 @@ struct CovertParams
 struct CovertOutcome
 {
     double detectionRate = 0.0;
-    SampleStats primeLatency;
-    SampleStats probeLatency;
+    MonitorLatencies latency; //!< the receiver's prime/probe latencies
 };
 
 /**

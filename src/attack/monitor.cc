@@ -20,26 +20,27 @@ monitorKindName(MonitorKind kind)
     return "?";
 }
 
-void
-PrimeProbeMonitor::record(SampleStats &stats, Cycles value)
+std::vector<Cycles>
+PrimeProbeMonitor::collectTrace(Cycles deadline,
+                                MonitorLatencies *latencies)
 {
+    SampleStats *primes = latencies ? &latencies->prime : nullptr;
+    SampleStats *probes = latencies ? &latencies->probe : nullptr;
     // The paper excludes outliers above 20,000 cycles (interrupts /
     // context switches).
-    if (value <= 20000)
-        stats.add(static_cast<double>(value));
-}
-
-std::vector<Cycles>
-PrimeProbeMonitor::collectTrace(Cycles deadline)
-{
+    const auto log = [](SampleStats *stats, Cycles value) {
+        if (stats && value <= 20000)
+            stats->add(static_cast<double>(value));
+    };
     Machine &m = session_.machine();
     std::vector<Cycles> detections;
-    prime();
+    log(primes, prime());
     while (m.now() < deadline) {
         const ProbeResult r = probe();
+        log(probes, r.duration);
         if (r.detected) {
             detections.push_back(m.now());
-            prime();
+            log(primes, prime());
         }
     }
     return detections;
@@ -98,7 +99,6 @@ ParallelMonitor::prime()
     Cycles total = 0;
     for (int pass = 0; pass < 12; ++pass)
         total += m.accessBatch(kMainCore, evset_, {BatchOp::Store, true, -1});
-    record(primeStats_, total);
     return total;
 }
 
@@ -108,7 +108,6 @@ ParallelMonitor::probe()
     Machine &m = session_.machine();
     const Cycles d = m.accessBatch(kMainCore, evset_,
                                    {BatchOp::Load, true, -1});
-    record(probeStats_, d);
     return {static_cast<double>(d) > threshold_, d};
 }
 
@@ -129,7 +128,6 @@ PsFlushMonitor::prime()
     Cycles total = m.accessBatch(kMainCore, evset_, {BatchOp::Load});
     total += m.accessBatch(kMainCore, evset_, {BatchOp::Flush});
     total += m.accessBatch(kMainCore, evset_, {BatchOp::Load});
-    record(primeStats_, total);
     return total;
 }
 
@@ -140,7 +138,6 @@ PsFlushMonitor::probe()
     // Scope: check only whether the EVC is still in the private
     // caches; a hit leaves the set's state untouched.
     const Cycles d = m.probeLoad(kMainCore, evset_.front());
-    record(probeStats_, d);
     const bool miss = static_cast<double>(d) > kPrivateMissThreshold;
     return {miss, d};
 }
@@ -166,7 +163,6 @@ PsAltMonitor::prime()
     active_ ^= 1;
     const Cycles total = m.accessBatch(kMainCore, sets_[active_],
                                        {BatchOp::Load});
-    record(primeStats_, total);
     return total;
 }
 
@@ -175,7 +171,6 @@ PsAltMonitor::probe()
 {
     Machine &m = session_.machine();
     const Cycles d = m.probeLoad(kMainCore, sets_[active_].front());
-    record(probeStats_, d);
     const bool miss = static_cast<double>(d) > kPrivateMissThreshold;
     return {miss, d};
 }

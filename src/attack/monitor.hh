@@ -13,9 +13,11 @@
  *    primed alternately with dependent loads; probe the active set's
  *    EVC.
  *
- * Monitors keep prime/probe latency statistics (Table 5) and expose a
- * trace-collection loop producing detection timestamps (the input to
- * the PSD pipeline and the nonce extractor).
+ * Monitors expose a trace-collection loop producing detection
+ * timestamps (the input to the PSD pipeline and the nonce extractor).
+ * The loop logs prime/probe latencies only into a sink its caller
+ * passes; the covert-channel experiment (Table 5) is the only caller
+ * that reads them.
  */
 
 #ifndef LLCF_ATTACK_MONITOR_HH
@@ -35,8 +37,16 @@ enum class MonitorKind { Parallel, PsFlush, PsAlt };
 /** Human-readable strategy name (paper nomenclature). */
 const char *monitorKindName(MonitorKind kind);
 
+/** Prime and probe latencies of one trace, interrupt outliers
+    (> 20k cycles) excluded (Table 5). */
+struct MonitorLatencies
+{
+    SampleStats prime;
+    SampleStats probe;
+};
+
 /**
- * Base class: the prime/probe state machine and statistics.
+ * Base class: the prime/probe state machine.
  */
 class PrimeProbeMonitor
 {
@@ -55,21 +65,18 @@ class PrimeProbeMonitor
     /** Prepare the monitored set; returns the prime duration. */
     virtual Cycles prime() = 0;
 
-    /** One probe; records latency statistics. */
+    /** One probe. */
     virtual ProbeResult probe() = 0;
 
     /**
      * Monitor until @p deadline (absolute): prime once, then probe
-     * continuously, re-priming after each detection.
+     * continuously, re-priming after each detection.  When
+     * @p latencies is non-null, every prime and probe duration is
+     * logged into it.
      * @return detection timestamps (probe completion times).
      */
-    std::vector<Cycles> collectTrace(Cycles deadline);
-
-    /** Prime latencies (interrupt outliers > 20k cycles excluded). */
-    const SampleStats &primeStats() const { return primeStats_; }
-
-    /** Probe latencies (outliers excluded). */
-    const SampleStats &probeStats() const { return probeStats_; }
+    std::vector<Cycles> collectTrace(Cycles deadline,
+                                     MonitorLatencies *latencies = nullptr);
 
     /**
      * Build a monitor.  @p evset must be a minimal SF eviction set;
@@ -86,12 +93,7 @@ class PrimeProbeMonitor
     {
     }
 
-    /** Record a latency sample, dropping >20k-cycle outliers. */
-    static void record(SampleStats &stats, Cycles value);
-
     AttackSession &session_;
-    SampleStats primeStats_;
-    SampleStats probeStats_;
 };
 
 /** The paper's Parallel Probing monitor. */

@@ -521,9 +521,68 @@ class JsonParser
         const double v = std::strtod(token.c_str(), &end);
         if (end != token.c_str() + token.size())
             return fail("malformed number");
+        if (!std::isfinite(v))
+            return fail("number out of range");
         out.kind_ = JsonValue::Kind::Number;
         out.num_ = v;
         return true;
+    }
+
+    bool
+    parseObject(JsonValue &out)
+    {
+        out.kind_ = JsonValue::Kind::Object;
+        skipWs();
+        if (pos_ < text_.size() && text_[pos_] == '}') {
+            ++pos_;
+            return true;
+        }
+        for (;;) {
+            skipWs();
+            std::string key;
+            if (!parseString(key))
+                return false;
+            skipWs();
+            if (pos_ >= text_.size() || text_[pos_++] != ':')
+                return fail("expected ':'");
+            JsonValue v;
+            if (!parseValue(v))
+                return false;
+            out.members_.emplace_back(std::move(key), std::move(v));
+            skipWs();
+            if (pos_ >= text_.size())
+                return fail("unterminated object");
+            const char d = text_[pos_++];
+            if (d == '}')
+                return true;
+            if (d != ',')
+                return fail("expected ',' or '}'");
+        }
+    }
+
+    bool
+    parseArray(JsonValue &out)
+    {
+        out.kind_ = JsonValue::Kind::Array;
+        skipWs();
+        if (pos_ < text_.size() && text_[pos_] == ']') {
+            ++pos_;
+            return true;
+        }
+        for (;;) {
+            JsonValue v;
+            if (!parseValue(v))
+                return false;
+            out.items_.push_back(std::move(v));
+            skipWs();
+            if (pos_ >= text_.size())
+                return fail("unterminated array");
+            const char d = text_[pos_++];
+            if (d == ']')
+                return true;
+            if (d != ',')
+                return fail("expected ',' or ']'");
+        }
     }
 
     bool
@@ -533,58 +592,16 @@ class JsonParser
         if (pos_ >= text_.size())
             return fail("unexpected end of input");
         const char c = text_[pos_];
-        if (c == '{') {
+        if (c == '{' || c == '[') {
+            // Recursion depth is bounded so a hostile document fails
+            // with a message instead of overflowing the stack.
+            if (depth_ == kJsonMaxDepth)
+                return fail("nesting too deep");
             ++pos_;
-            out.kind_ = JsonValue::Kind::Object;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            for (;;) {
-                skipWs();
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                skipWs();
-                if (pos_ >= text_.size() || text_[pos_++] != ':')
-                    return fail("expected ':'");
-                JsonValue v;
-                if (!parseValue(v))
-                    return false;
-                out.members_.emplace_back(std::move(key), std::move(v));
-                skipWs();
-                if (pos_ >= text_.size())
-                    return fail("unterminated object");
-                const char d = text_[pos_++];
-                if (d == '}')
-                    return true;
-                if (d != ',')
-                    return fail("expected ',' or '}'");
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            out.kind_ = JsonValue::Kind::Array;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            for (;;) {
-                JsonValue v;
-                if (!parseValue(v))
-                    return false;
-                out.items_.push_back(std::move(v));
-                skipWs();
-                if (pos_ >= text_.size())
-                    return fail("unterminated array");
-                const char d = text_[pos_++];
-                if (d == ']')
-                    return true;
-                if (d != ',')
-                    return fail("expected ',' or ']'");
-            }
+            ++depth_;
+            const bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth_;
+            return ok;
         }
         if (c == '"') {
             std::string str;
@@ -619,6 +636,7 @@ class JsonParser
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0; //!< objects/arrays open around pos_
     std::string err_;
 };
 

@@ -140,8 +140,16 @@ class JsonValue
 };
 
 /**
+ * Deepest object/array nesting parseJson accepts.  The committed
+ * BENCH_*.json baselines nest 5 deep and campaign checkpoints 6; the
+ * cap keeps a hostile document from exhausting the parser's stack.
+ */
+constexpr unsigned kJsonMaxDepth = 64;
+
+/**
  * Parse a complete JSON document (object/array/scalar with only
- * trailing whitespace after it).
+ * trailing whitespace after it).  Nesting deeper than kJsonMaxDepth
+ * and numbers that overflow a double (e.g. 1e999) are rejected.
  *
  * @return true and fills @p out on success; false and fills @p error
  *         (when non-null) with a position-annotated message otherwise.

@@ -200,44 +200,8 @@ class Machine
     Cycles accessBatch(unsigned core, std::span<const Addr> pas,
                        const BatchSpec &spec);
 
-    /**
-     * Overlapped (MLP) loads of @p pas; returns the burst duration.
-     */
-    Cycles
-    parallelLoads(unsigned core, std::span<const Addr> pas)
-    {
-        return accessBatch(core, pas, {BatchOp::Load, true, -1});
-    }
-
-    /** Overlapped stores (RFO) of @p pas. */
-    Cycles
-    parallelStores(unsigned core, std::span<const Addr> pas)
-    {
-        return accessBatch(core, pas, {BatchOp::Store, true, -1});
-    }
-
-    /** Overlapped helper-shared loads of @p pas. */
-    Cycles
-    parallelLoadsShared(unsigned core, unsigned helper,
-                        std::span<const Addr> pas)
-    {
-        return accessBatch(core, pas,
-                           {BatchOp::Load, true,
-                            static_cast<int>(helper)});
-    }
-
     /** Flush one line from every cache level. */
     Cycles clflush(unsigned core, Addr pa);
-
-    /**
-     * Flush many lines back-to-back; clflush is weakly ordered, so
-     * the cost is throughput-bound rather than per-line latency.
-     */
-    Cycles
-    clflushMany(unsigned core, std::span<const Addr> pas)
-    {
-        return accessBatch(core, pas, {BatchOp::Flush, true, -1});
-    }
 
     // ------------------------------------------- background streams
 

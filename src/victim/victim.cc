@@ -1,12 +1,30 @@
 #include "victim.hh"
 
 #include <algorithm>
-#include <string>
 
 #include "common/log.hh"
+#include "crypto/ec2m.hh"
 #include "victim/aes_victim.hh"
 
 namespace llcf {
+
+namespace {
+
+/** A uniform non-zero scalar below the sect571r1 order, drawn as the
+    reference signer (crypto/ecdsa.hh) draws private keys and
+    nonces. */
+BigUint
+drawScalar(Rng &rng)
+{
+    const BigUint &n = Sect571r1::instance().order();
+    BigUint k;
+    do {
+        k = BigUint::randomBelow(n, rng);
+    } while (k.isZero());
+    return k;
+}
+
+} // namespace
 
 const char *
 victimFamilyName(VictimFamily family)
@@ -118,11 +136,10 @@ Victim::serveRequests(Cycles first_start, unsigned count)
 EcdsaLadderVictim::EcdsaLadderVictim(Machine &machine,
                                      const VictimConfig &cfg)
     : Victim(machine, cfg),
-      ecdsa_(Rng(mix64(cfg.seed ^ 0xec2a))),
-      rng_(mix64(cfg.seed ^ 0x71c7))
+      secretRng_(mix64(cfg.seed ^ 0xec2a)),
+      rng_(mix64(cfg.seed ^ 0x71c7)),
+      d_(drawScalar(secretRng_))
 {
-    key_ = ecdsa_.generateKey();
-
     // The victim "library" is mapped once at container start and keeps
     // its VA-PA mapping for the container's lifetime (Section 7.1).
     const Addr code_base = space_->mmapAnon(4 * kPageBytes);
@@ -163,7 +180,7 @@ EcdsaLadderVictim::expectedAccessFrequencyHz() const
 void
 EcdsaLadderVictim::rotateKey()
 {
-    key_ = ecdsa_.generateKey();
+    d_ = drawScalar(secretRng_);
 }
 
 Cycles
@@ -180,11 +197,13 @@ EcdsaLadderVictim::generateExecution(Cycles request_start)
     Execution exec;
     exec.requestStart = request_start;
 
-    // Real signing: real nonce, real ladder bit sequence.
-    const std::string msg =
-        "sign-request-" + std::to_string(requestCounter_);
-    exec.record = ecdsa_.signWithTrace(sha256(msg), key_.d);
-    exec.bits = exec.record.ladderBits;
+    // The nonce's bits below its top bit, most significant first:
+    // the sequence the ladder's `if (bit)` branch walks.
+    exec.nonce = drawScalar(secretRng_);
+    const unsigned top = exec.nonce.bitLength() - 1;
+    exec.bits.reserve(top);
+    for (unsigned i = top; i-- > 0;)
+        exec.bits.push_back(exec.nonce.bit(i) ? 1 : 0);
 
     // Request timeline: pre-processing, ladder, post-processing.
     const std::size_t iters = exec.bits.size();
@@ -197,8 +216,16 @@ EcdsaLadderVictim::generateExecution(Cycles request_start)
 
     // Iteration boundaries with jitter.
     exec.iterationStarts.reserve(iters + 1);
+    // Sized exactly (a boundary fetch per iteration plus the closing
+    // one, a midpoint fetch per 0 bit, two decoy fetches per
+    // iteration): doubling growth would churn about 50 KB of heap per
+    // request and fragment the heap of long campaigns.
+    const auto zeros = static_cast<std::size_t>(
+        std::count(exec.bits.begin(), exec.bits.end(), 0));
     std::vector<Cycles> target_times;
+    target_times.reserve(iters + zeros + 1);
     std::vector<Cycles> decoy_times;
+    decoy_times.reserve(2 * iters);
     double t = static_cast<double>(exec.ladderStart);
     for (std::size_t i = 0; i < iters; ++i) {
         const Cycles start = static_cast<Cycles>(t);
@@ -210,10 +237,9 @@ EcdsaLadderVictim::generateExecution(Cycles request_start)
         }
         // Boundary fetch of the target line (the `if (bit)` clock).
         target_times.push_back(start);
-        // Midpoint fetch when the monitored branch direction is taken.
-        const bool midpoint =
-            cfg_.midpointOnZero ? exec.bits[i] == 0 : exec.bits[i] == 1;
-        if (midpoint)
+        // Midpoint fetch when the monitored branch direction (bit 0)
+        // is taken.
+        if (exec.bits[i] == 0)
             target_times.push_back(start + static_cast<Cycles>(dur / 2));
         // Decoy fetches: function bodies run every iteration.
         decoy_times.push_back(start + static_cast<Cycles>(dur * 0.25));

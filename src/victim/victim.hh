@@ -8,14 +8,21 @@
  * streams, together with the experimenter-side ground truth
  * (Execution) the attack is scored against.  Families:
  *
- *  - EcdsaLadderVictim signs requests with the vulnerable sect571r1
- *    Montgomery ladder.  The target line is fetched at every
- *    iteration boundary (the `if (bit)` line acts as the attacker's
- *    clock) and once more at the iteration midpoint when the branch
- *    direction matching the monitored line is taken (with the
- *    instrumented layout of Section 7.1, the bit value 0).  Decoy
- *    lines model MAdd/MDouble body fetches — the false-positive
- *    sources the paper's Section 7.2 scanner must reject.
+ *  - EcdsaLadderVictim models a sect571r1 signer whose nonce
+ *    multiplication is the vulnerable Montgomery ladder.  The target
+ *    line is fetched at every iteration boundary (the `if (bit)` line
+ *    acts as the attacker's clock) and once more at the iteration
+ *    midpoint for bit value 0 (the instrumented layout of Section
+ *    7.1).  Decoy lines model MAdd/MDouble body fetches — the
+ *    false-positive sources the paper's Section 7.2 scanner must
+ *    reject.  That fetch pattern depends on the nonce bits alone, so
+ *    the victim draws the private scalar and each nonce exactly as
+ *    the reference signer (crypto/ecdsa.hh) does and replays the
+ *    nonce's ladder bits; it computes no public key, ladder or
+ *    signature.  The one divergence: the reference signer redraws a
+ *    nonce whose ladder ends at the point at infinity or whose r or
+ *    s is 0, which happens with probability about 2^-570 per
+ *    signature; the victim keeps that nonce.
  *
  *  - AesTableVictim (aes_victim.hh) encrypts with table-lookup
  *    AES-128; its T-table line accesses are key-byte-dependent at
@@ -37,7 +44,7 @@
 #include <memory>
 #include <vector>
 
-#include "crypto/ecdsa.hh"
+#include "crypto/biguint.hh"
 #include "sim/machine.hh"
 #include "traffic/traffic.hh"
 
@@ -72,14 +79,6 @@ struct VictimConfig
 
     /** Per-iteration duration jitter (fraction). */
     double iterationJitter = 0.02;
-
-    /**
-     * Monitored-line semantics: true models the instrumented layout
-     * where the midpoint access occurs for bit == 0 (Section 7.1);
-     * false models the original line-2 layout (midpoint on bit == 1).
-     * ECDSA family only.
-     */
-    bool midpointOnZero = true;
 
     /** Fraction of a request spent in the vulnerable loop. */
     double dutyCycle = 0.25;
@@ -126,8 +125,8 @@ class Victim
     /** Ground truth of one triggered request. */
     struct Execution
     {
-        /** ECDSA family: the signing's nonce/ladder record. */
-        SigningRecord record;
+        /** ECDSA family: the request's nonce k. */
+        BigUint nonce;
         Cycles requestStart = 0;
         Cycles ladderStart = 0;
         Cycles ladderEnd = 0;
@@ -266,8 +265,9 @@ class EcdsaLadderVictim final : public Victim
 
     VictimFamily family() const override;
 
-    /** The victim's key pair (experimenter-side ground truth). */
-    const EcdsaKeyPair &keyPair() const { return key_; }
+    /** The current private scalar d (experimenter-side ground
+        truth). */
+    const BigUint &privateKey() const { return d_; }
 
     /** sect571r1 ladders run ~570 iterations. */
     std::size_t expectedIterations() const override;
@@ -284,9 +284,11 @@ class EcdsaLadderVictim final : public Victim
     Cycles closedLoopGap() override;
 
   private:
-    Ecdsa ecdsa_;
-    EcdsaKeyPair key_;
+    /** Key and nonce draws: the reference signer's stream. */
+    Rng secretRng_;
+    /** Timing draws: iteration jitter and think time. */
     Rng rng_;
+    BigUint d_;
 };
 
 /** Construct the family selected by @p cfg.family. */

@@ -144,10 +144,10 @@ TEST_F(MonitorTest, LatencyOrderingMatchesTable5)
                                    evsetA_, {}, sender_, params);
     auto flush = runCovertExperiment(rig_.session, MonitorKind::PsFlush,
                                      evsetA_, {}, sender_, params);
-    ASSERT_FALSE(par.primeLatency.empty());
-    ASSERT_FALSE(flush.primeLatency.empty());
-    EXPECT_LT(par.primeLatency.mean(), flush.primeLatency.mean());
-    EXPECT_LT(flush.probeLatency.mean(), par.probeLatency.mean());
+    ASSERT_FALSE(par.latency.prime.empty());
+    ASSERT_FALSE(flush.latency.prime.empty());
+    EXPECT_LT(par.latency.prime.mean(), flush.latency.prime.mean());
+    EXPECT_LT(flush.latency.probe.mean(), par.latency.probe.mean());
 }
 
 TEST_F(MonitorTest, PsAltNeedsTwoSets)
@@ -168,7 +168,7 @@ TEST_F(MonitorTest, PsAltRunsWithTwoSets)
     params.accesses = 60;
     auto out = runCovertExperiment(rig_.session, MonitorKind::PsAlt,
                                    evsetA_, evsetB_, sender_, params);
-    ASSERT_FALSE(out.primeLatency.empty());
+    ASSERT_FALSE(out.latency.prime.empty());
     EXPECT_GE(out.detectionRate, 0.0);
 }
 

@@ -96,7 +96,7 @@ TEST(CampaignFleet, VictimsDifferInKeyOffsetAndNoise)
     World a(spec, 0), b(spec, 1);
 
     // Distinct ECDSA keys, distinct page offsets.
-    EXPECT_NE(a.victim->keyPair().d, b.victim->keyPair().d);
+    EXPECT_NE(a.victim->privateKey(), b.victim->privateKey());
     EXPECT_NE(a.victim->targetLineIndex(), b.victim->targetLineIndex());
     EXPECT_NE(pageLineIndex(a.victim->targetLinePa()),
               pageLineIndex(b.victim->targetLinePa()));
@@ -106,7 +106,7 @@ TEST(CampaignFleet, VictimsDifferInKeyOffsetAndNoise)
 
     // Same (spec, index) reproduces the same victim exactly.
     World a2(spec, 0);
-    EXPECT_EQ(a.victim->keyPair().d, a2.victim->keyPair().d);
+    EXPECT_EQ(a.victim->privateKey(), a2.victim->privateKey());
     EXPECT_EQ(a.victim->targetLinePa(), a2.victim->targetLinePa());
 }
 

@@ -18,6 +18,7 @@
 #include "campaign/campaign.hh"
 #include "campaign/checkpoint.hh"
 #include "common/rng.hh"
+#include "json_mutants.hh"
 #include "scenario/registry.hh"
 
 namespace llcf {
@@ -254,41 +255,6 @@ TEST(CampaignCheckpointFile, LoadRejectsMalformedDocument)
     }
 }
 
-/** @p v as JSON text with every object's members shuffled. */
-std::string
-shuffledJson(const JsonValue &v, Rng &rng)
-{
-    std::string out;
-    switch (v.kind()) {
-      case JsonValue::Kind::Object: {
-        std::vector<std::size_t> order(v.members().size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        for (std::size_t i = order.size(); i > 1; --i)
-            std::swap(order[i - 1], order[rng.nextBelow(i)]);
-        for (std::size_t i : order) {
-            const auto &[key, member] = v.members()[i];
-            out += (out.empty() ? "" : ",") + ("\"" + jsonEscape(key)) +
-                   "\":" + shuffledJson(member, rng);
-        }
-        return "{" + out + "}";
-      }
-      case JsonValue::Kind::Array:
-        for (const JsonValue &item : v.items())
-            out += (out.empty() ? "" : ",") + shuffledJson(item, rng);
-        return "[" + out + "]";
-      case JsonValue::Kind::Number:
-        return jsonNumber(v.asNumber());
-      case JsonValue::Kind::String:
-        return "\"" + jsonEscape(v.asString()) + "\"";
-      case JsonValue::Kind::Bool:
-        return v.asBool() ? "true" : "false";
-      case JsonValue::Kind::Null:
-        break;
-    }
-    return "null";
-}
-
 TEST(CampaignCheckpointFile, MutatedCheckpointsAreRejectedOrSafe)
 {
     // A real checkpoint: 66 forked victims over two shards, so every
@@ -315,18 +281,7 @@ TEST(CampaignCheckpointFile, MutatedCheckpointsAreRejectedOrSafe)
     }
     std::remove(path.c_str());
 
-    // Where each number token starts, and its length.
-    std::vector<std::pair<std::size_t, std::size_t>> numbers;
-    for (std::size_t i = 1; i < doc.size(); ++i) {
-        const char c = doc[i];
-        if ((c == '-' || (c >= '0' && c <= '9')) &&
-            (doc[i - 1] == ' ' || doc[i - 1] == '[')) {
-            const std::size_t end =
-                doc.find_first_not_of("-+.eE0123456789", i);
-            numbers.emplace_back(i, end - i);
-            i = end;
-        }
-    }
+    const auto numbers = numberTokens(doc);
     ASSERT_FALSE(numbers.empty());
 
     Rng rng(20261017);

@@ -6,17 +6,23 @@
  * kernels on random rows, byte-identical suite JSON and equal perf
  * counters on paper-scale machines), PerfCounters accounting
  * invariants, the slice hash's divide-free reduction, and the JSON
- * parser the perf gate reads baselines with.
+ * parser the perf gate reads baselines with (its nesting cap, its
+ * non-finite number rejection and a mutation loop over a committed
+ * baseline).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "cache/tag_scan.hh"
 #include "harness/experiment.hh"
 #include "harness/json.hh"
+#include "json_mutants.hh"
 #include "noise/profile.hh"
 #include "scenario/registry.hh"
 #include "scenario/scenario.hh"
@@ -75,22 +81,22 @@ mixedTrial(ReplKind repl, bool batched, TrialContext &ctx,
     } else {
         for (Addr a : lines)
             m.load(0, a);
-        m.parallelLoads(0, span);
+        m.accessBatch(0, span, {BatchOp::Load, true, -1});
         for (Addr a : lines)
             m.store(0, a);
-        m.parallelStores(0, span);
+        m.accessBatch(0, span, {BatchOp::Store, true, -1});
         for (Addr a : lines)
             m.clflush(0, a);
         for (Addr a : lines)
             m.loadShared(0, 1, a);
-        m.parallelLoadsShared(0, 1, span);
+        m.accessBatch(0, span, {BatchOp::Load, true, 1});
         for (Addr a : lines)
             m.timedLoad(0, a);
         for (Addr a : lines)
             m.chaseLoad(0, a);
         for (Addr a : lines)
             m.probeLoad(0, a);
-        m.clflushMany(0, span);
+        m.accessBatch(0, span, {BatchOp::Flush, true, -1});
     }
 
     // Aggregate everything observable: virtual time, event counters
@@ -475,6 +481,109 @@ TEST(JsonParser, RejectsMalformedDocuments)
     EXPECT_FALSE(parseJson("\"unterminated", v, nullptr));
     EXPECT_FALSE(parseJson("nope", v, nullptr));
     EXPECT_FALSE(parseJson("", v, nullptr));
+}
+
+/** @p depth nested arrays around an empty innermost one. */
+std::string
+nestedArrays(std::size_t depth)
+{
+    return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonParser, NestingIsCappedWithAMessage)
+{
+    JsonValue v;
+    std::string err;
+    EXPECT_TRUE(parseJson(nestedArrays(kJsonMaxDepth), v, &err)) << err;
+    EXPECT_FALSE(parseJson(nestedArrays(kJsonMaxDepth + 1), v, &err));
+    // The message names the offset of the first bracket too many.
+    EXPECT_NE(err.find("offset " + std::to_string(kJsonMaxDepth) +
+                       ": nesting too deep"),
+              std::string::npos) << err;
+    // Deep enough to overflow an uncapped recursive parser's stack.
+    err.clear();
+    EXPECT_FALSE(parseJson(std::string(100000, '['), v, &err));
+    EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+    // Objects count toward the same cap.
+    std::string objects;
+    for (unsigned i = 0; i <= kJsonMaxDepth; ++i)
+        objects += "{\"a\": ";
+    EXPECT_FALSE(parseJson(objects, v, &err));
+    EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+}
+
+TEST(JsonParser, RejectsNonFiniteNumbers)
+{
+    JsonValue v;
+    for (const char *doc : {"{\"a\": 1e999}", "{\"a\": -1e999}",
+                            "[1, 1e999]", "-1e999"}) {
+        std::string err;
+        EXPECT_FALSE(parseJson(doc, v, &err)) << doc;
+        EXPECT_NE(err.find("number out of range"), std::string::npos)
+            << doc << ": " << err;
+        EXPECT_NE(err.find("offset"), std::string::npos) << err;
+    }
+    // Underflow is finite (it rounds to zero) and the largest double
+    // still parses.
+    ASSERT_TRUE(parseJson("[1e-999, 1.7976931348623157e308]", v));
+    EXPECT_EQ(v.items()[0].asNumber(), 0.0);
+}
+
+TEST(JsonParser, MutatedBaselinesAreRejectedOrParse)
+{
+    const std::string path =
+        std::string(LLCF_REPO_ROOT) + "/BENCH_calib.json";
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << path;
+    const std::string doc((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    JsonValue parsed;
+    std::string error;
+    ASSERT_TRUE(parseJson(doc, parsed, &error)) << error;
+    const auto numbers = numberTokens(doc);
+    ASSERT_FALSE(numbers.empty());
+
+    // Five mutation kinds in turn: truncation, a bit flip, a number
+    // replaced, a run of '[' inserted, every object's keys reordered.
+    Rng rng(20261018);
+    const char *const replacements[] = {"1e999", "-1", "\"x\""};
+    std::size_t rejected = 0;
+    for (int k = 0; k < 400; ++k) {
+        std::string mutant = doc;
+        bool overflow = false;
+        const int kind = k % 5;
+        if (kind == 0) {
+            mutant.resize(rng.nextBelow(doc.size()));
+        } else if (kind == 1) {
+            mutant[rng.nextBelow(doc.size())] ^=
+                static_cast<char>(1u << rng.nextBelow(8));
+        } else if (kind == 2) {
+            const auto [at, len] = numbers[rng.nextBelow(numbers.size())];
+            const auto pick = rng.nextBelow(3);
+            mutant.replace(at, len, replacements[pick]);
+            overflow = pick == 0;
+        } else if (kind == 3) {
+            mutant.insert(rng.nextBelow(doc.size() + 1),
+                          rng.nextBelow(2 * kJsonMaxDepth) + 1, '[');
+        } else {
+            mutant = shuffledJson(parsed, rng);
+        }
+        SCOPED_TRACE(testing::Message() << "mutant " << k);
+        error.clear();
+        JsonValue v;
+        const bool ok = parseJson(mutant, v, &error);
+        if (kind == 4) {
+            EXPECT_TRUE(ok) << "reordered keys: " << error;
+        }
+        if (overflow) {
+            EXPECT_FALSE(ok) << "a 1e999 number parsed";
+        }
+        if (!ok) {
+            EXPECT_FALSE(error.empty());
+            ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, 150u);
 }
 
 } // namespace

@@ -197,7 +197,8 @@ TEST_F(MachineTest, ParallelBurstFasterThanSequential)
     Cycles seq = 0;
     for (Addr a : seq_addrs)
         seq += fresh.chaseLoad(0, a);
-    const Cycles par = fresh.parallelLoads(0, par_addrs);
+    const Cycles par =
+        fresh.accessBatch(0, par_addrs, {BatchOp::Load, true, -1});
     EXPECT_LT(par * 3, seq);
 }
 
@@ -339,13 +340,14 @@ TEST(MachineStreams, StreamEvictsMonitorLine)
     m.addStream(2, victim_line, {m.now() + 5000});
     // Attacker primes the SF set.
     for (int pass = 0; pass < 3; ++pass)
-        m.parallelStores(0, evset);
+        m.accessBatch(0, evset, {BatchOp::Store, true, -1});
     // All attacker lines resident privately.
     for (Addr a : evset)
         ASSERT_TRUE(m.inSf(a));
     m.idle(10000);
     // Probe: the victim access must have evicted one attacker line.
-    const Cycles probe = m.parallelLoads(0, evset);
+    const Cycles probe =
+        m.accessBatch(0, evset, {BatchOp::Load, true, -1});
     EXPECT_GT(probe, static_cast<Cycles>(
         m.config().timing.dram));
 }

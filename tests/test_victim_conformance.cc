@@ -172,7 +172,7 @@ TEST_P(VictimConformance, IdenticalSeedsProduceIdenticalExecutions)
         EXPECT_EQ(ea[i].targetAccesses, eb[i].targetAccesses);
         EXPECT_EQ(ea[i].keyEpoch, eb[i].keyEpoch);
         EXPECT_EQ(ea[i].plaintexts, eb[i].plaintexts);
-        EXPECT_EQ(ea[i].record.nonce, eb[i].record.nonce);
+        EXPECT_EQ(ea[i].nonce, eb[i].nonce);
     }
 }
 
