@@ -1,5 +1,6 @@
 #include "bench_common.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -113,15 +114,46 @@ benchLoadBaseline(const std::string &path, JsonValue &doc)
                      path.c_str());
         return false;
     }
+    std::size_t i = 0;
+    for (const JsonValue &b : list->items()) {
+        const JsonValue *name = b.isObject() ? b.find("name") : nullptr;
+        const JsonValue *trials = b.isObject() ? b.find("trials") : nullptr;
+        const char *why = nullptr;
+        if (!b.isObject())
+            why = "is not an object";
+        else if (!name || name->kind() != JsonValue::Kind::String)
+            why = "has no string \"name\"";
+        else if (!trials || !trials->isNumber() ||
+                 trials->asNumber() < 1.0 ||
+                 trials->asNumber() != std::floor(trials->asNumber()))
+            why = "has no whole \"trials\" count >= 1";
+        if (why) {
+            std::fprintf(stderr, "baseline %s: benchmarks[%zu] %s\n",
+                         path.c_str(), i, why);
+            return false;
+        }
+        ++i;
+    }
     return true;
 }
 
-double
-benchBaselineTolerance(const JsonValue &doc, const char *key,
-                       double def)
+bool
+benchBaselineTolerance(const JsonValue &doc, const std::string &path,
+                       const char *key, double def, double &tol)
 {
     const JsonValue *t = doc.find("context", key);
-    return t && t->isNumber() ? t->asNumber() : def;
+    if (!t) {
+        tol = def;
+        return true;
+    }
+    if (!t->isNumber() || !(t->asNumber() >= 0.0)) {
+        std::fprintf(stderr,
+                     "baseline %s: context.%s is not a number >= 0\n",
+                     path.c_str(), key);
+        return false;
+    }
+    tol = t->asNumber();
+    return true;
 }
 
 const JsonValue *

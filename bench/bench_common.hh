@@ -63,20 +63,23 @@ int benchWriteSuite(const ExperimentSuite &suite);
 // whose output path equals the baseline cannot gate against itself.
 
 /**
- * Load a baseline document and verify it has a "benchmarks" array.
- * Prints the reason to stderr and returns false on failure, so a
- * stale or unreadable baseline counts as a gate violation rather
- * than a silent pass.
+ * Load a baseline document and verify its shape: a "benchmarks"
+ * array of objects, each with a string "name" and a whole "trials"
+ * count of at least 1.  Prints the reason to stderr and returns false
+ * on failure, so a stale, unreadable or misshapen baseline counts as
+ * a gate violation rather than a silent pass.
  */
 bool benchLoadBaseline(const std::string &path, JsonValue &doc);
 
 /**
- * A gate tolerance recorded in the baseline's "context" object, or
- * @p def when absent — baselines carry their own bands so regenerated
- * documents and gate code cannot drift apart.
+ * Set @p tol to the gate tolerance recorded in the baseline's
+ * "context" object, or to @p def when absent — baselines carry their
+ * own bands so regenerated documents and gate code cannot drift
+ * apart.  A tolerance present but not a number >= 0 prints the reason
+ * to stderr and returns false.
  */
-double benchBaselineTolerance(const JsonValue &doc, const char *key,
-                              double def);
+bool benchBaselineTolerance(const JsonValue &doc, const std::string &path,
+                            const char *key, double def, double &tol);
 
 /** The "benchmarks" entry named @p name, or nullptr. */
 const JsonValue *benchBaselineEntry(const JsonValue &doc,

@@ -293,10 +293,11 @@ gateAgainstBaseline(const ExperimentSuite &suite,
                     const std::string &path)
 {
     JsonValue doc;
-    if (!benchLoadBaseline(path, doc))
+    double tol = 0.0;
+    if (!benchLoadBaseline(path, doc) ||
+        !benchBaselineTolerance(doc, path, "tolerance", kGateTolerance,
+                                tol))
         return 1;
-    const double tol =
-        benchBaselineTolerance(doc, "tolerance", kGateTolerance);
 
     unsigned violations = 0;
     const char *suffix = "_cycles_per_access";

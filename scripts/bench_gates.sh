@@ -23,15 +23,24 @@
 #   must-fail   runs the gates must reject: an empty or unknown
 #               selection, an off-suite cell, one cell of each
 #               result type against a baseline with a gated rate
-#               flipped, and a baseline the JSON parser must refuse
+#               flipped, a baseline the JSON parser must refuse
 #               with a message (100,000-deep nesting, a truncated
-#               BENCH_calib.json)
+#               BENCH_calib.json), and baselines that parse but have
+#               the wrong shape (a cell given as an array, a rate
+#               given as a string, a cell without trials, a negative
+#               tolerance, an unknown cell)
 #
 # A suite gate runs bench_suite --suite=<suite> --smoke at 1 thread,
 # gated against the committed BENCH_<suite>.json when there is one
 # (every run also checks the cells' declared expectations: the kill
 # cell, the undefended floor, the AES nibbles, the starved cell, the
-# rotation epochs), then at 8 threads, and demands identical bytes.
+# rotation epochs), demands the same bytes as that committed
+# baseline, then runs at 8 threads and demands identical bytes again.
+# Smoke runs are deterministic, so any simulated drift fails here,
+# not only drift outside the baseline's bands; a deliberate change
+# regenerates the baseline (see .gitignore) with a reason in
+# CHANGES.md.  The hotpath gate holds BENCH_hotpath.json to the same
+# exact-byte standard.
 #
 # --twin mode runs the cross-build byte-identity check instead: two
 # build trees of the same commit (scalar and SIMD tag-scan kernels)
@@ -108,9 +117,14 @@ gate_suite() {
         gate=(--baseline="$repo_root/BENCH_$suite.json")
     fi
     ./bench_suite --suite="$suite" --list
-    # Bands and declared expectations on the 1-thread run ...
+    # Bands and declared expectations on the 1-thread run, the
+    # committed bytes exactly ...
     ./bench_suite --suite="$suite" --smoke --threads=1 \
         --json-out="BENCH_$suite.json" "${gate[@]}"
+    if [ -f "$repo_root/BENCH_$suite.json" ]; then
+        cmp "BENCH_$suite.json" "$repo_root/BENCH_$suite.json" ||
+            fail "$suite smoke drifted from BENCH_$suite.json"
+    fi
     # ... and trial sharding must not change a byte.
     ./bench_suite --suite="$suite" --smoke --threads=8 \
         --json-out="${suite}_t8.json" > /dev/null
@@ -132,6 +146,8 @@ gate_matrix() {
 gate_hotpath() {
     ./bench_hotpath --smoke --json-out=BENCH_hotpath.json \
         --baseline="$repo_root/BENCH_hotpath.json"
+    cmp BENCH_hotpath.json "$repo_root/BENCH_hotpath.json" ||
+        fail "hotpath smoke drifted from BENCH_hotpath.json"
 }
 
 gate_scalar_flip() {
@@ -185,20 +201,39 @@ exit_code() {
     echo "$rc"
 }
 
-# Succeeds iff the command exits 1 with a gate report "FAIL <$1>...".
-gate_rejects() {
+# Succeeds iff the command exits 1 with an output line matching $1
+# (a crash exits 139 and fails this).
+refused_with() {
     local want=$1 rc=0
     shift
-    "$@" > rejected.log 2>&1 || rc=$?
-    [ "$rc" -eq 1 ] && grep -q "^FAIL $want" rejected.log
+    "$@" > refused.log 2>&1 || rc=$?
+    [ "$rc" -eq 1 ] && grep -q "$want" refused.log
 }
 
-# Succeeds iff the command exits 1 with a "baseline: ..." parse
-# message (a crash exits 139 and fails this).
-baseline_refused() {
-    local rc=0
-    "$@" > refused.log 2>&1 || rc=$?
-    [ "$rc" -eq 1 ] && grep -q "^baseline: .*JSON parse error" refused.log
+# Write misshapen_<kind>.json: BENCH_calib.json, still valid JSON,
+# with the calib-tiny-lru-silent cell (or the context) bent out of
+# shape.
+misshape_baseline() {
+    python3 - "$repo_root/BENCH_calib.json" "$1" \
+        > "misshapen_$1.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+cells = doc["benchmarks"]
+i = next(i for i, b in enumerate(cells)
+         if b["name"] == "calib-tiny-lru-silent")
+kind = sys.argv[2]
+if kind == "cell-array":
+    cells[i] = list(cells[i].items())
+elif kind == "rate-string":
+    cells[i]["outcomes"]["calibrated"]["rate"] = "1"
+elif kind == "no-trials":
+    del cells[i]["trials"]
+elif kind == "negative-tolerance":
+    doc["context"]["rate_tolerance"] = -0.5
+elif kind == "unknown-cell":
+    cells.append(dict(cells[i], name="calib-no-such-cell"))
+json.dump(doc, sys.stdout)
+PY
 }
 
 # Write flipped_<suite>.json: the committed baseline with one gated
@@ -231,14 +266,14 @@ gate_must_fail() {
         fail "off-suite cell not rejected with exit 2"
     # The band gates can fail, for both result types.
     flip_baseline calib calib-tiny-lru-silent outcomes/calibrated/rate
-    gate_rejects calib-tiny-lru-silent/calibrated \
+    refused_with "^FAIL calib-tiny-lru-silent/calibrated" \
         ./bench_suite --suite=calib --smoke \
         --scenario=calib-tiny-lru-silent --json-out=flip_calib.json \
         --baseline=flipped_calib.json ||
         fail "calib band gate accepted a flipped rate"
     flip_baseline e2e campaign-fork-tiny-silent-96 \
         campaign/fleet_success_rate
-    gate_rejects campaign-fork-tiny-silent-96/fleet_success_rate \
+    refused_with "^FAIL campaign-fork-tiny-silent-96/fleet_success_rate" \
         ./bench_suite --suite=e2e --smoke \
         --scenario=campaign-fork-tiny-silent-96 \
         --json-out=flip_e2e.json --baseline=flipped_e2e.json ||
@@ -249,10 +284,29 @@ gate_must_fail() {
     head -c 4096 "$repo_root/BENCH_calib.json" > truncated_calib.json
     local bad
     for bad in deep_baseline.json truncated_calib.json; do
-        baseline_refused ./bench_suite --suite=calib --smoke \
+        refused_with "^baseline: .*JSON parse error" \
+            ./bench_suite --suite=calib --smoke \
             --scenario=calib-tiny-lru-silent --json-out=refused.json \
             --baseline="$bad" ||
             fail "baseline $bad not refused with a message and exit 1"
+    done
+    # A baseline that parses but has the wrong shape is refused with a
+    # message naming what is wrong, never gated against or skipped.
+    local kind want
+    for kind in cell-array rate-string no-trials negative-tolerance \
+                unknown-cell; do
+        case "$kind" in
+          cell-array) want="^baseline .*benchmarks\[[0-9]*\] is not an object" ;;
+          rate-string) want="^FAIL calib-tiny-lru-silent/calibrated: a number in the run, no number" ;;
+          no-trials) want="^baseline .*has no whole \"trials\"" ;;
+          negative-tolerance) want="^baseline .*context.rate_tolerance is not a number >= 0" ;;
+          unknown-cell) want="^baseline .*unknown cell 'calib-no-such-cell'" ;;
+        esac
+        misshape_baseline "$kind"
+        refused_with "$want" ./bench_suite --suite=calib --smoke \
+            --scenario=calib-tiny-lru-silent --json-out=refused.json \
+            --baseline="misshapen_$kind.json" ||
+            fail "misshapen baseline ($kind) not refused with a message"
     done
 }
 

@@ -41,7 +41,11 @@ PrimeProbeMonitor::collectTrace(Cycles deadline,
         if (r.detected) {
             detections.push_back(m.now());
             log(primes, prime());
+            continue;
         }
+        const std::uint64_t repeats = skipRepeatedProbes(deadline);
+        for (std::uint64_t i = 0; probes && i < repeats; ++i)
+            log(probes, r.duration);
     }
     return detections;
 }
@@ -95,10 +99,18 @@ ParallelMonitor::prime()
 {
     Machine &m = session_.machine();
     // Traverse the eviction set 12 times with overlapped accesses;
-    // no replacement-state preparation needed (Section 6.1).
+    // no replacement-state preparation needed (Section 6.1).  Passes
+    // that provably repeat the one before cost what it cost.
+    constexpr std::uint64_t kPasses = 12;
+    const BatchSpec stores{BatchOp::Store, true, -1};
     Cycles total = 0;
-    for (int pass = 0; pass < 12; ++pass)
-        total += m.accessBatch(kMainCore, evset_, {BatchOp::Store, true, -1});
+    for (std::uint64_t pass = 0; pass < kPasses; ++pass) {
+        const Cycles d = m.accessBatch(kMainCore, evset_, stores);
+        const std::uint64_t repeats = m.skipRepeats(
+            kMainCore, evset_, stores, kNeverCycles, kPasses - 1 - pass);
+        total += d * (1 + repeats);
+        pass += repeats;
+    }
     return total;
 }
 
@@ -109,6 +121,14 @@ ParallelMonitor::probe()
     const Cycles d = m.accessBatch(kMainCore, evset_,
                                    {BatchOp::Load, true, -1});
     return {static_cast<double>(d) > threshold_, d};
+}
+
+std::uint64_t
+ParallelMonitor::skipRepeatedProbes(Cycles deadline)
+{
+    return session_.machine().skipRepeats(kMainCore, evset_,
+                                          {BatchOp::Load, true, -1},
+                                          deadline);
 }
 
 // ------------------------------------------------------- PS-Flush

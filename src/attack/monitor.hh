@@ -18,6 +18,12 @@
  * The loop logs prime/probe latencies only into a sink its caller
  * passes; the covert-channel experiment (Table 5) is the only caller
  * that reads them.
+ *
+ * On a silent machine most Parallel probes repeat the previous one
+ * exactly (private-cache hits, nothing replayed, not detected), and
+ * so do most of its prime passes.  The monitor asks the machine to
+ * fast-forward those (Machine::skipRepeats) instead of simulating
+ * each; the trace, clock and every counter come out as if they ran.
  */
 
 #ifndef LLCF_ATTACK_MONITOR_HH
@@ -72,7 +78,8 @@ class PrimeProbeMonitor
      * Monitor until @p deadline (absolute): prime once, then probe
      * continuously, re-priming after each detection.  When
      * @p latencies is non-null, every prime and probe duration is
-     * logged into it.
+     * logged into it (a fast-forwarded probe logs the duration of the
+     * probe it repeats).
      * @return detection timestamps (probe completion times).
      */
     std::vector<Cycles> collectTrace(Cycles deadline,
@@ -93,6 +100,13 @@ class PrimeProbeMonitor
     {
     }
 
+    /**
+     * Fast-forward the probes, all starting before @p deadline, that
+     * provably repeat the undetected probe that just ran; returns how
+     * many were skipped.  None by default.
+     */
+    virtual std::uint64_t skipRepeatedProbes(Cycles) { return 0; }
+
     AttackSession &session_;
 };
 
@@ -105,6 +119,9 @@ class ParallelMonitor : public PrimeProbeMonitor
     MonitorKind kind() const override { return MonitorKind::Parallel; }
     Cycles prime() override;
     ProbeResult probe() override;
+
+  protected:
+    std::uint64_t skipRepeatedProbes(Cycles deadline) override;
 
   private:
     std::vector<Addr> evset_;

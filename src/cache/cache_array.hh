@@ -36,6 +36,7 @@
 #ifndef LLCF_CACHE_CACHE_ARRAY_HH
 #define LLCF_CACHE_CACHE_ARRAY_HH
 
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -150,6 +151,31 @@ class CacheArray
 
     /** Zero the event counters (cache contents are untouched). */
     void resetCounters() { counters_ = ArrayCounters{}; }
+
+    /** Add events simulated in bulk (the Machine's repeat skip). */
+    void addCounters(const ArrayCounters &c) { counters_ += c; }
+
+    /** 8-byte words in one set's image (tag row + metadata row). */
+    std::size_t rowWords() const { return paddedWays_ + metaWords_; }
+
+    /** Copy @p set's tag and metadata rows into @p out (rowWords()). */
+    void
+    saveRow(unsigned set, std::uint64_t *out) const
+    {
+        std::memcpy(out, tagsOf(set), paddedWays_ * sizeof(Addr));
+        std::memcpy(out + paddedWays_, metaOf(set),
+                    metaWords_ * sizeof(std::uint64_t));
+    }
+
+    /** True iff @p set's rows equal the image saveRow() wrote. */
+    bool
+    rowEquals(unsigned set, const std::uint64_t *img) const
+    {
+        return std::memcmp(img, tagsOf(set), paddedWays_ * sizeof(Addr)) ==
+                   0 &&
+               std::memcmp(img + paddedWays_, metaOf(set),
+                           metaWords_ * sizeof(std::uint64_t)) == 0;
+    }
 
     /** Flat set id from slice and per-slice index. */
     unsigned

@@ -45,6 +45,24 @@ struct ArrayCounters
         tagScans += o.tagScans;
         return *this;
     }
+
+    /** Events counted since @p before, a snapshot of these counters. */
+    ArrayCounters
+    since(const ArrayCounters &before) const
+    {
+        return {hits - before.hits, fills - before.fills,
+                evictions - before.evictions,
+                invalidations - before.invalidations,
+                tagScans - before.tagScans};
+    }
+
+    /** These counts repeated @p n times. */
+    ArrayCounters
+    times(std::uint64_t n) const
+    {
+        return {hits * n, fills * n, evictions * n, invalidations * n,
+                tagScans * n};
+    }
 };
 
 /** Number of HitLevel service classes (L1/L2/SF/LLC/DRAM). */

@@ -133,6 +133,9 @@ class Rng
      */
     Rng split();
 
+    /** True iff both generators will produce the same draws. */
+    bool operator==(const Rng &) const = default;
+
     /** Fisher-Yates shuffle of a random-access container. */
     template <typename Container>
     void

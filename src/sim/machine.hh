@@ -28,6 +28,12 @@
  * advances replays the Poisson tenant noise and any registered victim
  * stream events that fell into the gap.  This makes a 57,344-set noisy
  * machine cheap while preserving per-set event ordering.
+ *
+ * On a silent machine (no noise, jitter, interrupts or defense) a
+ * repeated overlapped batch that provably reproduces its previous runs
+ * — private-cache hits only, nothing replayed, no draw, the private
+ * rows back where they were — is fast-forwarded in O(1) by
+ * skipRepeats (implemented in repeats.cc; DESIGN.md §14).
  */
 
 #ifndef LLCF_SIM_MACHINE_HH
@@ -202,6 +208,35 @@ class Machine
 
     /** Flush one line from every cache level. */
     Cycles clflush(unsigned core, Addr pa);
+
+    /**
+     * Fast-forward exact repeats of the overlapped batch that just
+     * ran: advance the machine as if accessBatch(@p core, @p pas,
+     * @p spec) ran @p n more times, in O(1), and return @p n.  The
+     * Parallel monitor calls this after every undetected probe and
+     * between its prime passes (DESIGN.md §14).
+     *
+     * It engages only on a silent machine (zero noise rate, jitter
+     * and interrupt rate, no defense) for a single-chunk overlapped
+     * Load/Store batch without a helper core.  The last p runs of the
+     * batch (p <= kRepeatMaxPeriod) must have run back to back, ended
+     * at the current clock and had one duration, each served only
+     * from L1/L2 with no stream event replayed and no @c rng_ draw,
+     * and together brought the core's L1/L2 rows of the batch's sets
+     * back to the state before the first of them.  The next p runs
+     * then repeat them exactly, so @p n is a whole number of such
+     * cycles, and the rows end as they are now.  The repeats skipped
+     * all start strictly before @p until and before the next stream
+     * event due in any shared set the batch syncs, and number at
+     * most @p limit.
+     *
+     * A call that cannot skip returns 0; if @p pas is not the batch
+     * being watched it starts watching it, so its next runs are
+     * recorded (one watched batch per op: Load and Store).
+     */
+    std::uint64_t skipRepeats(unsigned core, std::span<const Addr> pas,
+                              const BatchSpec &spec, Cycles until,
+                              std::uint64_t limit = ~std::uint64_t{0});
 
     // ------------------------------------------- background streams
 
@@ -405,9 +440,79 @@ class Machine
         return {lat, level};
     }
 
+    /** Chunk size for long MLP bursts so background events interleave. */
+    static constexpr std::size_t kBurstChunk = 128;
+
     /** Shared implementation of the overlapped-burst operations. */
     Cycles overlappedAccess(unsigned core, std::span<const Addr> pas,
                             bool is_store, int helper);
+
+    /** Largest distinct L1, L2 or shared set count a watch covers. */
+    static constexpr unsigned kRepeatMaxSets = 4;
+
+    /**
+     * Longest cycle of runs a watch detects.  A batch longer than the
+     * L1's ways rotates its lines through the L1's ways, so its rows
+     * come back only every few runs (2 on Skylake-SP and the tiny
+     * config, 3 on Ice Lake-SP); the private hits repeat every run.
+     */
+    static constexpr unsigned kRepeatMaxPeriod = 4;
+
+    /** What one watched run of a batch did. */
+    struct RepeatRun
+    {
+        Cycles start = 0; //!< clock when the run began
+        Cycles end = 0;   //!< clock when it ended
+        /** Only L1/L2 hits, no stream event replayed, no rng_ draw. */
+        bool clean = false;
+        std::uint64_t loads = 0, stores = 0, l1Hits = 0, l2Hits = 0;
+        ArrayCounters l1, l2; //!< the core's L1/L2 counter deltas
+    };
+
+    /**
+     * One watched overlapped batch (see skipRepeats): its identity,
+     * the sets it touches, and its last kRepeatMaxPeriod runs with
+     * the rows each started from.  Every buffer is sized once, on
+     * the machine's first watch; recording a run allocates nothing.
+     */
+    struct RepeatWatch
+    {
+        bool armed = false; //!< runs of lines[0, count) are recorded
+        unsigned core = 0;
+        std::size_t count = 0;
+        std::vector<Addr> lines; //!< kBurstChunk entries
+        unsigned l1Sets[kRepeatMaxSets] = {};
+        unsigned l2Sets[kRepeatMaxSets] = {};
+        unsigned sharedSets[kRepeatMaxSets] = {};
+        unsigned nL1 = 0, nL2 = 0, nShared = 0;
+        /** Per run slot: the watched L1 rows then L2 rows it began
+         *  from (kRepeatMaxPeriod images of imageWords each). */
+        std::vector<std::uint64_t> images;
+        std::size_t imageWords = 0;
+        RepeatRun runs[kRepeatMaxPeriod];
+        unsigned head = 0;   //!< slot of the latest run
+        unsigned filled = 0; //!< recorded runs, capped at the ring size
+        /** Length of the cycle of runs ending at head, 0 if none. */
+        unsigned period = 0;
+    };
+
+    /** Watch @p pas with @p w (left unarmed when too wide to watch). */
+    void watchRepeats(RepeatWatch &w, unsigned core,
+                      std::span<const Addr> pas);
+
+    /** The watch recording runs of this batch, or null. */
+    RepeatWatch *watchOf(unsigned core, std::span<const Addr> pas,
+                         BatchOp op);
+
+    /** Save @p w's watched L1/L2 rows into run slot @p slot's image. */
+    void saveWatchedRows(RepeatWatch &w, unsigned slot) const;
+
+    /** True iff @p w's watched rows equal run slot @p slot's image. */
+    bool watchedRowsEqual(const RepeatWatch &w, unsigned slot) const;
+
+    /** overlappedAccess plus the repeat check of @p w. */
+    Cycles watchedAccess(RepeatWatch &w, std::span<const Addr> pas,
+                         bool is_store);
 
     /** Shared implementation of the overlapped flush sweep. */
     Cycles overlappedFlush(unsigned core, std::span<const Addr> pas);
@@ -546,6 +651,12 @@ class Machine
      */
     bool quiescent_ = false;
 
+    /**
+     * Zero noise rate, jitter and interrupt rate and no defense: the
+     * only machines skipRepeats engages on (fixed at construction).
+     */
+    bool silent_ = false;
+
     MachineStats stats_;
 
     /**
@@ -576,6 +687,10 @@ class Machine
     std::uint64_t sfProtectedMask_ = 0;  //!< victim-domain SF ways
     std::uint64_t sfOtherMask_ = 0;      //!< everyone else's SF ways
     SelfEvictionWatchdog watchdog_;
+
+    /** Watched batches, [0] Load and [1] Store (host-side only; kept
+     *  last so the access path's members stay packed together). */
+    RepeatWatch repeats_[2];
 };
 
 } // namespace llcf

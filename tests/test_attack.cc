@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "attack/covert.hh"
 #include "attack/e2e.hh"
 #include "attack/extractor.hh"
@@ -335,6 +337,89 @@ class ExtractorTestRig : public ::testing::Test
     std::unique_ptr<EcdsaLadderVictim> victim_;
     std::vector<Addr> evset_;
 };
+
+TEST(MonitorRepeats, CollectTraceMatchesPerProbeLoop)
+{
+    // Twin rigs over full ECDSA ladders with the victim's streams
+    // registered: one monitors through collectTrace, which
+    // fast-forwards the probes and prime passes that provably repeat;
+    // the other through a hand-written loop that simulates each one.
+    struct Twin
+    {
+        Twin() : rig(107)
+        {
+            VictimConfig vcfg;
+            vcfg.seed = 107;
+            victim = std::make_unique<EcdsaLadderVictim>(rig.machine,
+                                                         vcfg);
+            evset = groundTruthEvictionSet(rig.machine, rig.pool,
+                                           victim->targetLinePa(),
+                                           rig.machine.config().sf.ways);
+        }
+
+        std::vector<Cycles>
+        monitorLadder(bool per_probe, MonitorLatencies &lat)
+        {
+            Machine &m = rig.machine;
+            auto exec = victim->triggerRequest(m.now() + 2000);
+            auto monitor = PrimeProbeMonitor::make(MonitorKind::Parallel,
+                                                   rig.session, evset);
+            if (exec.ladderStart > m.now())
+                m.idle(exec.ladderStart - m.now());
+            std::vector<Cycles> detections;
+            if (per_probe) {
+                const auto log = [](SampleStats &stats, Cycles v) {
+                    if (v <= 20000)
+                        stats.add(static_cast<double>(v));
+                };
+                const auto prime = [&] {
+                    Cycles total = 0;
+                    for (int pass = 0; pass < 12; ++pass)
+                        total += m.accessBatch(kMainCore, evset,
+                                               {BatchOp::Store, true, -1});
+                    return total;
+                };
+                log(lat.prime, prime());
+                while (m.now() < exec.ladderEnd) {
+                    const auto r = monitor->probe();
+                    log(lat.probe, r.duration);
+                    if (r.detected) {
+                        detections.push_back(m.now());
+                        log(lat.prime, prime());
+                    }
+                }
+            } else {
+                detections = monitor->collectTrace(exec.ladderEnd, &lat);
+            }
+            m.clearStreams();
+            return detections;
+        }
+
+        AttackRig rig;
+        std::unique_ptr<EcdsaLadderVictim> victim;
+        std::vector<Addr> evset;
+    };
+
+    Twin fast, slow;
+    ASSERT_EQ(fast.evset, slow.evset);
+    for (int ladder = 0; ladder < 2; ++ladder) {
+        MonitorLatencies fast_lat, slow_lat;
+        const auto fast_det = fast.monitorLadder(false, fast_lat);
+        const auto slow_det = slow.monitorLadder(true, slow_lat);
+        EXPECT_GT(slow_det.size(), 200u);
+        EXPECT_EQ(fast_det, slow_det);
+        EXPECT_EQ(fast.rig.machine.now(), slow.rig.machine.now());
+        EXPECT_EQ(fast_lat.probe.samples(), slow_lat.probe.samples());
+        EXPECT_EQ(fast_lat.prime.samples(), slow_lat.prime.samples());
+        const PerfCounters fp = fast.rig.machine.perfCounters();
+        const PerfCounters sp = slow.rig.machine.perfCounters();
+        EXPECT_EQ(std::memcmp(&fp, &sp, sizeof(fp)), 0);
+        EXPECT_EQ(std::memcmp(&fast.rig.machine.stats(),
+                              &slow.rig.machine.stats(),
+                              sizeof(MachineStats)),
+                  0);
+    }
+}
 
 TEST_F(ExtractorTestRig, RuleBasedExtractionRecoversMostBits)
 {

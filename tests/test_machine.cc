@@ -3,10 +3,14 @@
  * Tests for the simulated machine: hit/miss latencies, the
  * SF/LLC coherence interplay of Section 2.3 (E/S transitions,
  * back-invalidation, reuse predictor), clflush, parallel-burst
- * timing, background noise injection, and victim access streams.
+ * timing, background noise injection, victim access streams, and
+ * the repeat fast-forward (Machine::skipRepeats) against twin
+ * machines that simulate every repeat.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "noise/profile.hh"
 #include "sim/machine.hh"
@@ -380,6 +384,204 @@ TEST(MachineDeterminism, SameSeedSameTrace)
     };
     EXPECT_EQ(run(5), run(5));
     EXPECT_NE(run(5), run(6));
+}
+
+// ------------------------------------------------------ repeat skipping
+
+/**
+ * Bit-for-bit equality of two machines' simulated state: clock,
+ * counters (levelCycles compared as bits) and every snapshot plane.
+ */
+void
+expectSameState(const Machine &a, const Machine &b)
+{
+    // MachineStats and PerfCounters are all 8-byte fields (no padding),
+    // so memcmp compares every counter and every double's bits.
+    const auto bytesEqual = [](const auto &x, const auto &y) {
+        return std::memcmp(&x, &y, sizeof(x)) == 0;
+    };
+    EXPECT_EQ(a.now(), b.now());
+    EXPECT_TRUE(bytesEqual(a.stats(), b.stats()));
+    const PerfCounters pa = a.perfCounters();
+    const PerfCounters pb = b.perfCounters();
+    EXPECT_TRUE(bytesEqual(pa, pb));
+    EXPECT_EQ(pa.l1.tagScans, pb.l1.tagScans);
+    EXPECT_EQ(pa.l2.tagScans, pb.l2.tagScans);
+    const Machine::Snapshot sa = a.snapshot();
+    const Machine::Snapshot sb = b.snapshot();
+    EXPECT_TRUE(sa.rng == sb.rng);
+    EXPECT_TRUE(sa.jitterRng == sb.jitterRng);
+    const auto sameArray = [&](const CacheArrayState &x,
+                               const CacheArrayState &y) {
+        return x.tags == y.tags && x.meta == y.meta &&
+               bytesEqual(x.counters, y.counters);
+    };
+    ASSERT_EQ(sa.l1.size(), sb.l1.size());
+    for (std::size_t c = 0; c < sa.l1.size(); ++c) {
+        EXPECT_TRUE(sameArray(sa.l1[c], sb.l1[c])) << "L1 of core " << c;
+        EXPECT_TRUE(sameArray(sa.l2[c], sb.l2[c])) << "L2 of core " << c;
+    }
+    EXPECT_TRUE(sameArray(sa.llc, sb.llc));
+    EXPECT_TRUE(sameArray(sa.sf, sb.sf));
+    EXPECT_EQ(sa.privateHitStreak, sb.privateHitStreak);
+    EXPECT_TRUE(sa.lastSync == sb.lastSync);
+    EXPECT_TRUE(sa.hasStream == sb.hasStream);
+    ASSERT_EQ(sa.streams.size(), sb.streams.size());
+    for (std::size_t i = 0; i < sa.streams.size(); ++i)
+        EXPECT_EQ(sa.streams[i].cursor, sb.streams[i].cursor);
+    EXPECT_EQ(sa.noiseCounter, sb.noiseCounter);
+    EXPECT_EQ(sa.quiescent, sb.quiescent);
+}
+
+/**
+ * @p n + 1 lines congruent in one shared set, drawn through the same
+ * calls on every machine of one seed (so twins get the same frames):
+ * the first @p n form the batch, the last is a victim line.
+ */
+std::vector<Addr>
+congruentLines(Machine &m, unsigned n)
+{
+    auto space = m.newAddressSpace();
+    const Addr pool = space->mmapAnon(512 * kPageBytes);
+    std::vector<Addr> lines;
+    unsigned target = 0;
+    for (unsigned p = 0; p < 512 && lines.size() <= n; ++p) {
+        const Addr a = space->translate(pool + p * kPageBytes);
+        if (lines.empty())
+            target = m.sharedSetOf(a);
+        if (m.sharedSetOf(a) == target)
+            lines.push_back(a);
+    }
+    EXPECT_EQ(lines.size(), n + 1);
+    return lines;
+}
+
+const BatchSpec kProbeSpec{BatchOp::Load, true, -1};
+const BatchSpec kPrimeSpec{BatchOp::Store, true, -1};
+
+/** Run @p k batches, fast-forwarding what provably repeats. */
+std::uint64_t
+runSkipping(Machine &m, std::span<const Addr> batch,
+            const BatchSpec &spec, std::uint64_t k)
+{
+    std::uint64_t done = 0, skipped = 0;
+    while (done < k) {
+        m.accessBatch(0, batch, spec);
+        ++done;
+        const std::uint64_t n =
+            m.skipRepeats(0, batch, spec, kNeverCycles, k - done);
+        done += n;
+        skipped += n;
+    }
+    EXPECT_EQ(done, k);
+    return skipped;
+}
+
+TEST(MachineRepeats, SkippedRepeatsMatchSimulatedOnes)
+{
+    // Two lines stay in the 2-way L1 (rows repeat every run); an
+    // SF set's worth rotate through its ways (every second run).  A
+    // registered stream whose event never comes due makes every run
+    // sync its set, so lastSync moves too.  39 runs end on a skip in
+    // both cases.
+    for (const unsigned width : {2u, tinyTest().sf.ways}) {
+        for (const BatchSpec &spec : {kProbeSpec, kPrimeSpec}) {
+            for (const bool synced : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "width " << width << " op "
+                             << static_cast<int>(spec.op) << " synced "
+                             << synced);
+                Machine loop(tinyTest(), silent(), 23);
+                Machine skip(tinyTest(), silent(), 23);
+                auto lines = congruentLines(loop, width);
+                ASSERT_EQ(lines, congruentLines(skip, width));
+                const Addr victim = lines.back();
+                lines.pop_back();
+                if (synced) {
+                    loop.addStream(2, victim, {kNeverCycles - 1});
+                    skip.addStream(2, victim, {kNeverCycles - 1});
+                }
+                for (int i = 0; i < 39; ++i)
+                    loop.accessBatch(0, lines, spec);
+                EXPECT_GT(runSkipping(skip, lines, spec, 39), 30u);
+                expectSameState(loop, skip);
+            }
+        }
+    }
+}
+
+TEST(MachineRepeats, StopsBeforeDueStreamEvent)
+{
+    Machine loop(tinyTest(), silent(), 29);
+    Machine skip(tinyTest(), silent(), 29);
+    auto lines = congruentLines(loop, tinyTest().sf.ways);
+    ASSERT_EQ(lines, congruentLines(skip, tinyTest().sf.ways));
+    const Addr victim = lines.back();
+    lines.pop_back();
+    for (Machine *m : {&loop, &skip}) {
+        for (int i = 0; i < 3; ++i)
+            m->accessBatch(0, lines, kPrimeSpec);
+    }
+    // A victim access due mid-window, on the batch's shared set.
+    const Cycles event = loop.now() + 3001;
+    const Cycles until = loop.now() + 9000;
+    for (Machine *m : {&loop, &skip})
+        m->addStream(2, victim, {event});
+
+    // Each machine probes until `until`; note the start clock of the
+    // probe that replayed the event.
+    const auto probeUntil = [&](Machine &m, bool skipping) {
+        Cycles replayed_at = 0;
+        std::uint64_t skipped = 0;
+        while (m.now() < until) {
+            const Cycles start = m.now();
+            const std::uint64_t before = m.stats().streamAccesses;
+            const Cycles d = m.accessBatch(0, lines, kProbeSpec);
+            if (m.stats().streamAccesses != before)
+                replayed_at = start;
+            if (!skipping)
+                continue;
+            const std::uint64_t n =
+                m.skipRepeats(0, lines, kProbeSpec, until);
+            if (n == 0)
+                continue;
+            // The last skipped repeat started before `until`, and
+            // before the event unless that already replayed.
+            const Cycles last_start = m.now() - d;
+            EXPECT_LT(last_start, until);
+            if (replayed_at == 0) {
+                EXPECT_LT(last_start, event);
+            }
+            skipped += n;
+        }
+        return std::pair{replayed_at, skipped};
+    };
+    const auto [loop_at, loop_skipped] = probeUntil(loop, false);
+    const auto [skip_at, skipped] = probeUntil(skip, true);
+    EXPECT_EQ(loop_skipped, 0u);
+    EXPECT_GT(skipped, 0u);
+    EXPECT_GE(loop_at, event);
+    EXPECT_EQ(skip_at, loop_at);
+    EXPECT_EQ(skip.stats().streamAccesses, 1u);
+    expectSameState(loop, skip);
+}
+
+TEST(MachineRepeats, NeverEngagesOnNoisyOrDefendedMachines)
+{
+    MachineConfig defended = tinyTest();
+    defended.defense.partition.sf = true;
+    const std::pair<MachineConfig, NoiseProfile> hosts[] = {
+        {tinyTest(), cloudRun()}, {defended, silent()}};
+    for (const auto &[cfg, noise] : hosts) {
+        Machine m(cfg, noise, 31);
+        auto lines = congruentLines(m, 2);
+        lines.pop_back();
+        for (int i = 0; i < 20; ++i) {
+            m.accessBatch(0, lines, kProbeSpec);
+            EXPECT_EQ(m.skipRepeats(0, lines, kProbeSpec, kNeverCycles),
+                      0u);
+        }
+    }
 }
 
 } // namespace
