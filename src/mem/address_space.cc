@@ -1,38 +1,50 @@
 #include "address_space.hh"
 
-#include <numeric>
-
 #include "common/log.hh"
 
 namespace llcf {
 
 PageAllocator::PageAllocator(std::size_t total_frames, Rng rng)
-    : totalFrames_(total_frames), rng_(rng)
+    : totalFrames_(total_frames), unshuffled_(total_frames), rng_(rng)
 {
     if (total_frames == 0)
         fatal("PageAllocator needs a non-empty frame pool");
-    free_.resize(total_frames);
-    std::iota(free_.begin(), free_.end(), 0u);
-    rng_.shuffle(free_);
 }
+
+PageAllocator::PageAllocator(const PageAllocator &) = default;
+
+PageAllocator &
+PageAllocator::operator=(const PageAllocator &) = default;
+
+PageAllocator::~PageAllocator() = default;
 
 Addr
 PageAllocator::allocFrame()
 {
-    if (free_.empty())
+    if (unshuffled_ == 0)
         fatal("physical frame pool exhausted (%zu frames)", totalFrames_);
-    std::uint32_t frame = free_.back();
-    free_.pop_back();
+    // Step i of Rng::shuffle swaps slot i - 1 with slot j < i and never
+    // touches slot i - 1 again, so the frame it leaves there -- the
+    // one the eager allocator would pop next -- is slot j's.  The last
+    // slot is final without a draw, as the shuffle's loop stops at 2.
+    const std::size_t i = unshuffled_--;
+    const auto last = static_cast<std::uint32_t>(i - 1);
+    const auto j =
+        i > 1 ? static_cast<std::uint32_t>(rng_.nextBelow(i)) : last;
+    auto held = [this](std::uint32_t slot) {
+        auto it = displaced_.find(slot);
+        return it == displaced_.end() ? slot : it->second;
+    };
+    const std::uint32_t frame = held(j);
+    if (j != last) {
+        const std::uint32_t moved = held(last);
+        if (moved == j)
+            displaced_.erase(j);
+        else
+            displaced_[j] = moved;
+    }
+    displaced_.erase(last);
     return static_cast<Addr>(frame) << kPageBits;
-}
-
-void
-PageAllocator::freeFrame(Addr pa)
-{
-    if (pageOffset(pa) != 0)
-        panic("freeFrame on non page-aligned PA %#lx",
-              static_cast<unsigned long>(pa));
-    free_.push_back(static_cast<std::uint32_t>(pa >> kPageBits));
 }
 
 AddressSpace::AddressSpace(PageAllocator &allocator, unsigned asid)

@@ -27,6 +27,16 @@ namespace llcf {
  *
  * Randomisation is what creates the paper's "cache uncertainty": the
  * attacker cannot steer which L2/LLC sets a fresh page's lines map to.
+ *
+ * The order is a descending Fisher-Yates shuffle of the frame numbers
+ * (exactly Rng::shuffle's), run lazily: the k-th allocFrame() performs
+ * the shuffle's k-th step and hands out the slot that step finalises.
+ * Slots the shuffle has not touched still hold their own index, so the
+ * state is the count of unfinalised slots plus the few slots that hold
+ * another frame.  Memory and copy cost grow with the frames handed
+ * out, not with the pool (a Skylake-SP pool has 2^20 frames; a world
+ * draws a few thousand).  DESIGN.md §15 has the argument that
+ * the draw sequence equals the eager shuffle's.
  */
 class PageAllocator
 {
@@ -37,21 +47,31 @@ class PageAllocator
      */
     PageAllocator(std::size_t total_frames, Rng rng);
 
+    // Out of line on purpose: inline, the map's copy code is
+    // instantiated in every translation unit that copies a Machine
+    // snapshot, and in machine.cc that changes how GCC inlines the
+    // cache access path.
+    PageAllocator(const PageAllocator &other);
+    PageAllocator &operator=(const PageAllocator &other);
+    ~PageAllocator();
+
     /** Allocate one frame; returns its physical base address. */
     Addr allocFrame();
 
-    /** Return a frame to the pool. @pre pa was returned by allocFrame */
-    void freeFrame(Addr pa);
-
     /** Frames still available. */
-    std::size_t freeFrames() const { return free_.size(); }
+    std::size_t freeFrames() const { return unshuffled_; }
 
     /** Total pool size in frames. */
     std::size_t totalFrames() const { return totalFrames_; }
 
   private:
     std::size_t totalFrames_;
-    std::vector<std::uint32_t> free_; //!< free frame numbers, shuffled
+    /** Slots [0, unshuffled_) are still free; the rest are handed out. */
+    std::size_t unshuffled_;
+    /** Free slot -> the frame it holds, for each free slot that does
+     *  not hold its own index.  Only point lookups: its iteration
+     *  order never reaches observable state. */
+    std::unordered_map<std::uint32_t, std::uint32_t> displaced_;
     Rng rng_;
 };
 

@@ -339,7 +339,9 @@ class Machine
         Rng rng;
         Rng jitterRng;
         // 1-frame placeholder until snapshot() copies the real pool
-        // (PageAllocator rejects an empty pool by design).
+        // (PageAllocator rejects an empty pool by design).  The copy
+        // holds only the frames handed out so far, not the pool
+        // (DESIGN.md §15).
         PageAllocator allocator{1, Rng{}};
         unsigned nextAsid = 0;
         std::vector<CacheArrayState> l1;

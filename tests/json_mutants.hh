@@ -41,6 +41,8 @@ numberTokens(const std::string &doc)
 inline std::string
 shuffledJson(const JsonValue &v, Rng &rng)
 {
+    // Built by appending: once this is inlined, GCC 12 reports a false
+    // -Wrestrict on "literal" + std::string temporaries.
     std::string out;
     switch (v.kind()) {
       case JsonValue::Kind::Object: {
@@ -49,21 +51,32 @@ shuffledJson(const JsonValue &v, Rng &rng)
             order[i] = i;
         for (std::size_t i = order.size(); i > 1; --i)
             std::swap(order[i - 1], order[rng.nextBelow(i)]);
+        out += '{';
         for (std::size_t i : order) {
             const auto &[key, member] = v.members()[i];
-            out += (out.empty() ? "" : ",") + ("\"" + jsonEscape(key)) +
-                   "\":" + shuffledJson(member, rng);
+            if (out.size() > 1)
+                out += ',';
+            out += '"';
+            out += jsonEscape(key);
+            out += "\":";
+            out += shuffledJson(member, rng);
         }
-        return "{" + out + "}";
+        return out += '}';
       }
       case JsonValue::Kind::Array:
-        for (const JsonValue &item : v.items())
-            out += (out.empty() ? "" : ",") + shuffledJson(item, rng);
-        return "[" + out + "]";
+        out += '[';
+        for (const JsonValue &item : v.items()) {
+            if (out.size() > 1)
+                out += ',';
+            out += shuffledJson(item, rng);
+        }
+        return out += ']';
       case JsonValue::Kind::Number:
         return jsonNumber(v.asNumber());
       case JsonValue::Kind::String:
-        return "\"" + jsonEscape(v.asString()) + "\"";
+        out += '"';
+        out += jsonEscape(v.asString());
+        return out += '"';
       case JsonValue::Kind::Bool:
         return v.asBool() ? "true" : "false";
       case JsonValue::Kind::Null:

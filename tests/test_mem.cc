@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "mem/address_space.hh"
 
@@ -26,17 +28,60 @@ TEST(PageAllocator, FramesAreUniqueAndAligned)
     EXPECT_EQ(alloc.freeFrames(), 0u);
 }
 
-TEST(PageAllocator, FreeReturnsFrameToPool)
+/** The eager allocator the lazy one replaces: shuffle every frame
+    number up front with Rng::shuffle, then pop from the back. */
+std::vector<Addr>
+referenceFrames(std::size_t n, std::uint64_t seed)
 {
-    PageAllocator alloc(4, Rng(2));
-    Addr a = alloc.allocFrame();
-    alloc.allocFrame();
-    alloc.allocFrame();
-    alloc.allocFrame();
-    EXPECT_EQ(alloc.freeFrames(), 0u);
-    alloc.freeFrame(a);
-    EXPECT_EQ(alloc.freeFrames(), 1u);
-    EXPECT_EQ(alloc.allocFrame(), a);
+    std::vector<std::uint32_t> pool(n);
+    std::iota(pool.begin(), pool.end(), 0u);
+    Rng rng(seed);
+    rng.shuffle(pool);
+    std::vector<Addr> frames;
+    frames.reserve(n);
+    while (!pool.empty()) {
+        frames.push_back(static_cast<Addr>(pool.back()) << kPageBits);
+        pool.pop_back();
+    }
+    return frames;
+}
+
+TEST(PageAllocator, DrawsTheEagerShuffleFrameForFrame)
+{
+    const std::size_t sizes[] = {1, 2, 3, 17, 4096, std::size_t{1} << 20};
+    for (std::size_t n : sizes) {
+        for (std::uint64_t seed : {1u, 7u, 0xa110cu}) {
+            const std::vector<Addr> want = referenceFrames(n, seed);
+            PageAllocator alloc(n, Rng(seed));
+            std::size_t mismatches = 0;
+            for (std::size_t k = 0; k < n; ++k) {
+                ASSERT_EQ(alloc.freeFrames(), n - k);
+                mismatches += alloc.allocFrame() != want[k];
+            }
+            EXPECT_EQ(mismatches, 0u) << "pool " << n << " seed " << seed;
+            EXPECT_EQ(alloc.freeFrames(), 0u);
+        }
+    }
+}
+
+TEST(PageAllocator, CopyContinuesTheSameSequence)
+{
+    const std::size_t n = 4096;
+    const std::vector<Addr> want = referenceFrames(n, 11);
+    PageAllocator alloc(n, Rng(11));
+    for (std::size_t k = 0; k < n / 3; ++k)
+        ASSERT_EQ(alloc.allocFrame(), want[k]);
+
+    PageAllocator copy(alloc);
+    PageAllocator assigned(1, Rng{});
+    assigned = alloc;
+    for (std::size_t k = n / 3; k < n; ++k) {
+        ASSERT_EQ(alloc.allocFrame(), want[k]);
+        ASSERT_EQ(copy.allocFrame(), want[k]);
+        ASSERT_EQ(assigned.allocFrame(), want[k]);
+    }
+    EXPECT_EQ(copy.freeFrames(), 0u);
+    EXPECT_EQ(assigned.freeFrames(), 0u);
 }
 
 TEST(PageAllocator, AllocationOrderIsRandomised)

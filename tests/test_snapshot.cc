@@ -82,6 +82,27 @@ TEST(MachineSnapshot, RestoreRewindsFrameAllocator)
     EXPECT_EQ(spaceC->translate(vaC), paA);
 }
 
+TEST(MachineSnapshot, RestoreReplaysFrameDrawsAfterAllocations)
+{
+    // Snapshot a pool with frames already handed out, so the copy
+    // carries displaced slots, not only an untouched pool.
+    Machine m(tinyTest(), quiescentLocal(), 6);
+    auto space = m.newAddressSpace();
+    space->mmapAnon(40 * kPageBytes);
+    const Machine::Snapshot snap = m.snapshot();
+
+    auto draw = [&] {
+        auto s = m.newAddressSpace();
+        const Addr va = s->mmapAnon(24 * kPageBytes);
+        return s->framesOf(va, 24 * kPageBytes);
+    };
+    const std::vector<Addr> first = draw();
+    draw(); // drain further past the snapshot
+
+    m.restore(snap);
+    EXPECT_EQ(draw(), first);
+}
+
 TEST(SessionSnapshot, RestoreRewindsAttackerSpaceAndBudget)
 {
     Machine m(tinyTest(), quiescentLocal(), 11);
