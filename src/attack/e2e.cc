@@ -19,12 +19,6 @@ EndToEndAttack::EndToEndAttack(AttackSession &session, Victim &victim,
 }
 
 E2EResult
-EndToEndAttack::run(const CandidatePool &pool)
-{
-    return run(pool, scanRequestCount(victim_, params_.scanner));
-}
-
-E2EResult
 EndToEndAttack::run(const CandidatePool &pool, unsigned scan_requests)
 {
     E2EResult res;
@@ -101,17 +95,18 @@ EndToEndAttack::collectTraces(const BuiltEvictionSet &evset,
     const bool aes = victim_.family() == VictimFamily::AesTable;
     AesNibbleRecovery nibbles(victim_.targetLineIndex());
     for (unsigned i = 0; i < params_.tracesPerVictim; ++i) {
-        auto execs = victim_.serveRequests(m.now() + 1000, 1);
-        if (execs.empty()) {
+        const std::optional<Victim::Execution> served =
+            victim_.serveRequest(m.now() + 1000);
+        if (!served) {
             // The victim produced no execution (request quota spent,
             // service gone).  Return what was recovered so far as a
-            // partial result instead of indexing an empty vector.
+            // partial result.
             warn("e2e: victim produced no execution for request "
                  "%u/%u; returning a partial result",
                  i + 1, params_.tracesPerVictim);
             break;
         }
-        const auto &exec = execs[0];
+        const Victim::Execution &exec = *served;
         // The attacker monitors from request dispatch to response.
         auto monitor = PrimeProbeMonitor::make(MonitorKind::Parallel,
                                                session_, evset.sfSet);

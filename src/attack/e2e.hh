@@ -91,16 +91,11 @@ class EndToEndAttack
     /**
      * Run Steps 1-3.  @p pool provides the attacker's candidate
      * pages.  The victim is triggered by the attack itself (the
-     * attacker can send requests to the victim service).
-     */
-    E2EResult run(const CandidatePool &pool);
-
-    /**
-     * Run Steps 1-3 with @p scan_requests victim requests keeping the
-     * victim signing across the Step-2 scan window (run(pool) sizes
-     * them with scanRequestCount).  Each step runs only when the
-     * previous one succeeded; with E2EParams::tracesPerVictim == 0
-     * the attack stops after Step 2.
+     * attacker can send requests to the victim service):
+     * @p scan_requests victim requests keep it signing across the
+     * Step-2 scan window (scanRequestCount sizes them).  Each step
+     * runs only when the previous one succeeded; with
+     * E2EParams::tracesPerVictim == 0 the attack stops after Step 2.
      */
     E2EResult run(const CandidatePool &pool, unsigned scan_requests);
 

@@ -1,89 +1,16 @@
 #include "extractor.hh"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/log.hh"
 
 namespace llcf {
-
-NonceExtractor::NonceExtractor()
-    : forest_(ForestParams{60, TreeParams{10, 3, 0}, 1.0, 11})
-{
-}
-
-std::vector<double>
-NonceExtractor::accessFeatures(const std::vector<Cycles> &trace,
-                               std::size_t index) const
-{
-    const double iter = static_cast<double>(kExtractIterationCycles);
-    const double t = static_cast<double>(trace[index]);
-    auto gap = [&](std::ptrdiff_t delta) {
-        const std::ptrdiff_t j = static_cast<std::ptrdiff_t>(index) +
-                                 delta;
-        if (j < 0 || j >= static_cast<std::ptrdiff_t>(trace.size()))
-            return 4.0; // out-of-range marker (in iteration units)
-        return std::abs(static_cast<double>(trace[j]) - t) / iter;
-    };
-    // Local density: accesses within +-half an iteration.
-    const double half = iter / 2.0;
-    unsigned density = 0;
-    for (std::size_t j = 0; j < trace.size(); ++j) {
-        if (std::abs(static_cast<double>(trace[j]) - t) <= half)
-            ++density;
-    }
-    return {gap(-2), gap(-1), gap(+1), gap(+2),
-            static_cast<double>(density)};
-}
-
-Dataset
-NonceExtractor::buildTrainingSet(
-    const std::vector<std::vector<Cycles>> &traces,
-    const std::vector<const Victim::Execution *> &truths) const
-{
-    Dataset data;
-    for (std::size_t k = 0; k < traces.size(); ++k) {
-        const auto &trace = traces[k];
-        const auto &starts = truths[k]->iterationStarts;
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            // Access is a boundary iff it matches an iteration start.
-            auto it = std::lower_bound(starts.begin(), starts.end(),
-                                       trace[i]);
-            Cycles best = ~0ULL;
-            if (it != starts.end())
-                best = std::min(best, *it - std::min(*it, trace[i]));
-            if (it != starts.begin()) {
-                const Cycles prev = *(it - 1);
-                best = std::min(best, trace[i] - prev);
-            }
-            const int label = best <= kGroundTruthTolerance ? +1 : -1;
-            data.add(accessFeatures(trace, i), label);
-        }
-    }
-    return data;
-}
-
-void
-NonceExtractor::train(const Dataset &data)
-{
-    forest_.fit(data);
-    trained_ = true;
-}
 
 std::vector<Cycles>
 NonceExtractor::predictBoundaries(const std::vector<Cycles> &trace) const
 {
+    // Greedy segmentation: the next boundary is the first access at
+    // least three quarters of an iteration after the previous one,
+    // which skips midpoint accesses.
     std::vector<Cycles> boundaries;
-    if (trained_) {
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            if (forest_.predict(accessFeatures(trace, i)) > 0)
-                boundaries.push_back(trace[i]);
-        }
-        return boundaries;
-    }
-    // Untrained fallback: greedy segmentation — the next boundary is
-    // the first access at least three quarters of an iteration after
-    // the previous one, which skips midpoint accesses.
     const Cycles min_gap = kExtractIterationCycles * 3 / 4;
     for (Cycles t : trace) {
         if (boundaries.empty() || t >= boundaries.back() + min_gap)

@@ -1,18 +1,22 @@
 /**
  * @file
  * Nonce-bit extraction from a monitored access trace (paper Section
- * 7.3): a random-forest classifier marks which detected accesses are
- * ladder-iteration boundaries; boundary pairs 8k-12k cycles apart
- * delimit iterations; the bit of an iteration follows from whether an
- * extra access falls near its midpoint.  The window and tolerances
- * are the paper's fixed values (the constants below); the bit
- * convention is the instrumented layout's (midpoint access => 0).
+ * 7.3).  Greedy segmentation marks the iteration boundaries: the next
+ * boundary is the first access at least three quarters of an
+ * iteration after the previous one.  Boundary pairs 8k-12k cycles
+ * apart delimit iterations; the bit of an iteration follows from
+ * whether an extra access falls near its midpoint.  The paper trains
+ * a random forest to mark the boundaries; this model uses the rule
+ * alone (DESIGN.md §12).  The window and tolerances are the paper's
+ * fixed values (the constants below); the bit convention is the
+ * instrumented layout's (midpoint access => 0).
  */
 
 #ifndef LLCF_ATTACK_EXTRACTOR_HH
 #define LLCF_ATTACK_EXTRACTOR_HH
 
-#include "ml/forest.hh"
+#include <vector>
+
 #include "victim/victim.hh"
 
 namespace llcf {
@@ -60,33 +64,11 @@ struct ExtractionScore
 };
 
 /**
- * Random-forest boundary classifier plus the bit-recovery rules.
+ * The boundary rule plus the bit-recovery rules.
  */
 class NonceExtractor
 {
   public:
-    NonceExtractor();
-
-    /** Per-access feature vector (gaps to neighbours, local density). */
-    std::vector<double> accessFeatures(const std::vector<Cycles> &trace,
-                                       std::size_t index) const;
-
-    /**
-     * Build a labelled boundary dataset from traces with ground
-     * truth: an access is a boundary iff it matches an iteration
-     * start within the tolerance.
-     */
-    Dataset buildTrainingSet(
-        const std::vector<std::vector<Cycles>> &traces,
-        const std::vector<const Victim::Execution *> &truths)
-        const;
-
-    /** Train the boundary forest. */
-    void train(const Dataset &data);
-
-    /** True once train() has been called. */
-    bool trained() const { return trained_; }
-
     /** Extract bits from a detection-timestamp trace. */
     std::vector<ExtractedBit> extract(const std::vector<Cycles> &trace)
         const;
@@ -99,9 +81,6 @@ class NonceExtractor
     /** Predicted boundary timestamps of a trace. */
     std::vector<Cycles> predictBoundaries(const std::vector<Cycles>
                                           &trace) const;
-
-    RandomForest forest_;
-    bool trained_ = false;
 };
 
 } // namespace llcf

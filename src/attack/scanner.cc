@@ -96,10 +96,11 @@ ScannerTrainer::collect(const TraceClassifier &featurizer,
 
     auto collect_one = [&](const std::vector<Addr> &evset, int label) {
         // Keep the victim running across the trace window.
-        auto execs = victim_.serveRequests(m.now(), 1);
-        if (execs.empty()) {
+        const std::optional<Victim::Execution> exec =
+            victim_.serveRequest(m.now());
+        if (!exec) {
             // Training victim exhausted (request quota): skip the
-            // sample rather than index an empty execution list.
+            // sample.
             warn("scanner trainer: victim produced no execution; "
                  "skipping a label-%+d trace", label);
             m.clearStreams();
@@ -109,9 +110,8 @@ ScannerTrainer::collect(const TraceClassifier &featurizer,
         // examples; random phase otherwise.
         Cycles begin = m.now();
         if (label > 0) {
-            const Cycles span = execs[0].ladderEnd -
-                                execs[0].ladderStart;
-            begin = execs[0].ladderStart +
+            const Cycles span = exec->ladderEnd - exec->ladderStart;
+            begin = exec->ladderStart +
                     session_.rng().nextBelow(std::max<Cycles>(
                         1, span > params.traceDuration ?
                            span - params.traceDuration : 1));
@@ -129,8 +129,8 @@ ScannerTrainer::collect(const TraceClassifier &featurizer,
         if (!row.empty()) // skip flagged degenerate-PSD traces
             data.add(std::move(row), label);
         // Let the victim finish so streams drain.
-        if (execs[0].requestEnd > m.now())
-            m.idle(execs[0].requestEnd - m.now());
+        if (exec->requestEnd > m.now())
+            m.idle(exec->requestEnd - m.now());
         m.clearStreams();
     };
 

@@ -1,7 +1,5 @@
 #include "replacement.hh"
 
-#include "common/options.hh"
-
 namespace llcf {
 
 const char *
@@ -18,18 +16,6 @@ replKindName(ReplKind kind)
         return "Random";
     }
     return "?";
-}
-
-bool
-parseReplKind(const std::string &name, ReplKind &out)
-{
-    for (ReplKind kind : kAllReplKinds) {
-        if (equalsIgnoreCase(name, replKindName(kind))) {
-            out = kind;
-            return true;
-        }
-    }
-    return false;
 }
 
 } // namespace llcf

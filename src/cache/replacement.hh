@@ -24,7 +24,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <string>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -36,12 +35,6 @@ enum class ReplKind { LRU, TreePLRU, SRRIP, Random };
 
 /** Human-readable policy name. */
 const char *replKindName(ReplKind kind);
-
-/**
- * Parse a policy name as printed by replKindName (case-insensitive).
- * @return true and fills @p out on a known name.
- */
-bool parseReplKind(const std::string &name, ReplKind &out);
 
 /** All selectable policy kinds, for ablation sweeps. */
 inline constexpr ReplKind kAllReplKinds[] = {

@@ -1,9 +1,6 @@
 #include "slice_hash.hh"
 
-#include <bit>
-
 #include "common/log.hh"
-#include "common/rng.hh"
 
 namespace llcf {
 
@@ -14,60 +11,6 @@ OpaqueSliceHash::OpaqueSliceHash(unsigned n_slices, std::uint64_t salt)
         fatal("slice hash needs at least one slice");
     if (n_slices > 1)
         magic_ = ~std::uint64_t{0} / n_slices; // floor((2^64 - 1) / n)
-}
-
-XorMatrixSliceHash::XorMatrixSliceHash(std::vector<Addr> masks)
-    : masks_(std::move(masks))
-{
-    if (masks_.empty() || masks_.size() > 6)
-        fatal("XOR slice hash supports 1..6 slice bits");
-}
-
-unsigned
-XorMatrixSliceHash::slice(Addr pa) const
-{
-    unsigned s = 0;
-    for (std::size_t i = 0; i < masks_.size(); ++i) {
-        unsigned bit = std::popcount(pa & masks_[i]) & 1u;
-        s |= bit << i;
-    }
-    return s;
-}
-
-std::unique_ptr<SliceHash>
-makeOpaqueSliceHash(unsigned n_slices, std::uint64_t salt)
-{
-    return std::make_unique<OpaqueSliceHash>(n_slices, salt);
-}
-
-const char *
-sliceHashKindName(SliceHashKind kind)
-{
-    switch (kind) {
-      case SliceHashKind::Opaque:
-        return "opaque";
-      case SliceHashKind::XorMatrix:
-        return "xor-matrix";
-    }
-    return "?";
-}
-
-std::unique_ptr<SliceHash>
-makeSliceHash(const SliceHashParams &params)
-{
-    switch (params.kind) {
-      case SliceHashKind::Opaque:
-        if (!params.masks.empty())
-            fatal("opaque slice hash takes no masks");
-        return std::make_unique<OpaqueSliceHash>(params.slices,
-                                                 params.salt);
-      case SliceHashKind::XorMatrix:
-        if (params.slices != (1u << params.masks.size()))
-            fatal("XOR slice hash: %zu masks cannot produce %u slices",
-                  params.masks.size(), params.slices);
-        return std::make_unique<XorMatrixSliceHash>(params.masks);
-    }
-    fatal("unknown slice-hash kind");
 }
 
 } // namespace llcf

@@ -1,58 +1,34 @@
 /**
  * @file
- * LLC/SF slice-hash functions.
+ * The LLC/SF slice hash.
  *
  * Intel's slice hash consumes every PA bit above the line offset and is
  * complex and non-linear for non-power-of-two slice counts [McCalpin 21],
  * so partial control of the low PA bits does not narrow the possible
- * slices (Section 2.2.1).  Two models are provided:
- *
- *  - OpaqueSliceHash: a keyed pseudo-random hash of PA[.. :6].  It has
- *    exactly the properties the attack algorithms rely on (deterministic,
- *    attacker-opaque, all-bit-dependent) and supports any slice count.
- *  - XorMatrixSliceHash: the classic documented XOR-of-bit-masks hash
- *    for power-of-two slice counts, for machines where that applies.
- *
- * Both models are instances of one *parameterized family*
- * (SliceHashParams + makeSliceHash): a machine's hash is fully
- * described by a small parameter record, and the Step-0 topology
- * prober (src/calib/) fits the parameters it can observe — the slice
- * count, and the hash kind it assumes — from timing alone.  The salt
- * is attacker-unobservable by design: any salt yields a hash that is
- * observation-equivalent to the true one up to a relabeling of the
- * slices, which is all the eviction-set techniques need.
+ * slices (Section 2.2.1).  OpaqueSliceHash models it as a keyed
+ * pseudo-random hash of PA[.. :6]: deterministic, attacker-opaque and
+ * all-bit-dependent, for any slice count.  Those are exactly the
+ * properties the attack algorithms rely on.  The key is attacker-
+ * unobservable by design: any key yields a hash that is observation-
+ * equivalent to the true one up to a relabeling of the slices, so the
+ * Step-0 prober (src/calib/) recovers only the slice count.
  */
 
 #ifndef LLCF_CACHE_SLICE_HASH_HH
 #define LLCF_CACHE_SLICE_HASH_HH
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
 
 namespace llcf {
 
-/** Maps a physical line address to an LLC/SF slice. */
-class SliceHash
-{
-  public:
-    virtual ~SliceHash() = default;
-
-    /** Slice index in [0, slices()). */
-    virtual unsigned slice(Addr pa) const = 0;
-
-    /** Number of slices this hash targets. */
-    virtual unsigned slices() const = 0;
-};
-
 /**
  * Keyed pseudo-random slice hash supporting arbitrary slice counts
  * (e.g. the 28-, 26- and 22-slice parts in the paper).
  */
-class OpaqueSliceHash final : public SliceHash
+class OpaqueSliceHash
 {
   public:
     /**
@@ -63,7 +39,7 @@ class OpaqueSliceHash final : public SliceHash
     OpaqueSliceHash(unsigned n_slices, std::uint64_t salt);
 
     /**
-     * Non-virtual hot path: the Machine holds this hash by value and
+     * Hot path: the Machine holds this hash by value and
      * calls it once per simulated access, so the hash plus the
      * modulo-free reduction below must inline.
      */
@@ -89,90 +65,14 @@ class OpaqueSliceHash final : public SliceHash
         return static_cast<unsigned>(r);
     }
 
-    unsigned slices() const override { return nSlices_; }
+    /** Number of slices this hash targets. */
+    unsigned slices() const { return nSlices_; }
 
   private:
     unsigned nSlices_;
     std::uint64_t salt_;
     std::uint64_t magic_ = 0; //!< floor(2^64 / nSlices_) for nSlices_ > 1
 };
-
-/**
- * XOR-matrix slice hash: slice bit i is the parity of (pa & mask[i]).
- * Only valid for power-of-two slice counts.
- */
-class XorMatrixSliceHash : public SliceHash
-{
-  public:
-    /**
-     * @param masks One PA bit mask per slice-index bit.
-     */
-    explicit XorMatrixSliceHash(std::vector<Addr> masks);
-
-    unsigned slice(Addr pa) const override;
-    unsigned slices() const override { return 1u << masks_.size(); }
-
-  private:
-    std::vector<Addr> masks_;
-};
-
-/** Build the default opaque hash for a machine. */
-std::unique_ptr<SliceHash> makeOpaqueSliceHash(unsigned n_slices,
-                                               std::uint64_t salt);
-
-/** Selector of one member of the slice-hash family. */
-enum class SliceHashKind
-{
-    Opaque,    //!< keyed pseudo-random hash, any slice count
-    XorMatrix, //!< documented XOR-of-masks hash, power-of-two slices
-};
-
-/** Human-readable hash-kind name. */
-const char *sliceHashKindName(SliceHashKind kind);
-
-/**
- * Parameter record fully describing one member of the slice-hash
- * family.  A MachineConfig derives its record via sliceHashParams()
- * and the simulator instantiates the hash from it, so a record round-
- * trips bit-for-bit (pinned by tests/test_calib.cc goldens).  The
- * Step-0 prober emits a fitted record as part of CalibratedTopology.
- */
-struct SliceHashParams
-{
-    SliceHashKind kind = SliceHashKind::Opaque;
-    unsigned slices = 1;      //!< slice count (any value for Opaque)
-    std::uint64_t salt = 0;   //!< per-machine key (Opaque only)
-    std::vector<Addr> masks;  //!< PA bit masks (XorMatrix only)
-
-    /** Record for an opaque hash. */
-    static SliceHashParams
-    opaque(unsigned n_slices, std::uint64_t salt)
-    {
-        SliceHashParams p;
-        p.kind = SliceHashKind::Opaque;
-        p.slices = n_slices;
-        p.salt = salt;
-        return p;
-    }
-
-    /** Record for an XOR-matrix hash (one mask per slice-index bit). */
-    static SliceHashParams
-    xorMatrix(std::vector<Addr> masks)
-    {
-        SliceHashParams p;
-        p.kind = SliceHashKind::XorMatrix;
-        p.slices = 1u << masks.size();
-        p.masks = std::move(masks);
-        return p;
-    }
-};
-
-/**
- * Instantiate the family member @p params describes.  Fatal on an
- * inconsistent record (e.g. XorMatrix whose mask count does not match
- * the slice count).
- */
-std::unique_ptr<SliceHash> makeSliceHash(const SliceHashParams &params);
 
 } // namespace llcf
 

@@ -395,8 +395,6 @@ TopologyProber::calibrate()
     out.view.wSf = w_sf;
     out.view.fromOracle = false;
     snapGeometry(out);
-    out.hashModel =
-        SliceHashParams::opaque(out.view.slices, /*salt=*/0);
     out.confidence =
         out.wLlcAgreement * out.wSfAgreement *
         std::min(1.0, static_cast<double>(out.membershipHits) / 4.0) *

@@ -3,7 +3,7 @@
  * Step 0: blind topology calibration.
  *
  * Every other stage of the pipeline assumes the attacker knows the
- * shared-cache geometry (W_LLC, W_SF, slice count, slice-hash shape).
+ * shared-cache geometry (W_LLC, W_SF, slice count).
  * On a real public-cloud host it does not — the paper's attack is
  * credible precisely because eviction sets can be built on unknown
  * hardware.  The TopologyProber recovers the whole TopologyView from
@@ -29,13 +29,13 @@
  *     raw estimators.
  *
  * The result is a CalibratedTopology the session adopts in place of
- * oracle geometry, plus a fitted SliceHashParams record (the opaque
- * family member with the estimated slice count; the salt is
- * unobservable by design, and any salt is observation-equivalent up
- * to slice relabeling).  compareToOracle() produces the per-field
- * match/mismatch accounting benches and tests gate on — it is the
- * only function here that may read MachineConfig, and it is
- * experimenter-side reporting, never attack input.
+ * oracle geometry.  Of the slice hash it carries only the estimated
+ * slice count (view.slices): the hash key is unobservable by design,
+ * and any key is observation-equivalent up to slice relabeling.
+ * compareToOracle() produces the per-field match/mismatch accounting
+ * benches and tests gate on — it is the only function here that may
+ * read MachineConfig, and it is experimenter-side reporting, never
+ * attack input.
  *
  * Determinism: the prober draws randomness exclusively from the
  * session RNG and advances only the session's machine clock, so a
@@ -85,9 +85,9 @@ struct CalibrationConfig
 };
 
 /**
- * What Step 0 recovered: the adoptable attacker view, the fitted
- * slice-hash family record, the raw (pre-snap) estimators, and the
- * cost accounting campaigns charge against recovered keys.
+ * What Step 0 recovered: the adoptable attacker view, the raw
+ * (pre-snap) estimators, and the cost accounting campaigns charge
+ * against recovered keys.
  */
 struct CalibratedTopology
 {
@@ -97,10 +97,6 @@ struct CalibratedTopology
 
     /** The adoptable view (fromOracle == false). */
     TopologyView view;
-
-    /** Fitted family record: opaque kind, measured slice count,
-     *  salt 0 (unobservable; equivalent up to slice relabeling). */
-    SliceHashParams hashModel;
 
     double uncertaintyRaw = 0.0; //!< tests/hits before integer snap
     double slicesRaw = 0.0;      //!< 1/survival-rate before snap

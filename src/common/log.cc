@@ -4,8 +4,6 @@ namespace llcf {
 
 namespace {
 
-LogLevel gLevel = LogLevel::Warn;
-
 void
 vprint(const char *tag, const char *fmt, std::va_list args)
 {
@@ -17,47 +15,11 @@ vprint(const char *tag, const char *fmt, std::va_list args)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    gLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return gLevel;
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (gLevel < LogLevel::Info)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    vprint("info", fmt, args);
-    va_end(args);
-}
-
-void
 warn(const char *fmt, ...)
 {
-    if (gLevel < LogLevel::Warn)
-        return;
     std::va_list args;
     va_start(args, fmt);
     vprint("warn", fmt, args);
-    va_end(args);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (gLevel < LogLevel::Debug)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    vprint("debug", fmt, args);
     va_end(args);
 }
 

@@ -14,23 +14,8 @@
 
 namespace llcf {
 
-/** Verbosity levels; messages below the global level are suppressed. */
-enum class LogLevel { Quiet = 0, Warn = 1, Info = 2, Debug = 3 };
-
-/** Set the process-wide verbosity (default: Warn). */
-void setLogLevel(LogLevel level);
-
-/** Current process-wide verbosity. */
-LogLevel logLevel();
-
-/** printf-style informational message (suppressed below Info). */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** printf-style warning (suppressed below Warn). */
+/** printf-style warning to standard error. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** printf-style debug trace (suppressed below Debug). */
-void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Report an internal invariant violation and abort.  Use for simulator

@@ -52,20 +52,6 @@ envString(const char *name, const std::string &def)
 }
 
 bool
-equalsIgnoreCase(const std::string &a, const std::string &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const unsigned char ca = static_cast<unsigned char>(a[i]);
-        const unsigned char cb = static_cast<unsigned char>(b[i]);
-        if (std::tolower(ca) != std::tolower(cb))
-            return false;
-    }
-    return true;
-}
-
-bool
 fullScale()
 {
     return envBool("LLCF_FULL_SCALE", false);

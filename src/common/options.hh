@@ -50,13 +50,6 @@ bool envBool(const char *name, bool def = false);
 /** Read an environment variable as string with a default. */
 std::string envString(const char *name, const std::string &def);
 
-/**
- * ASCII case-insensitive string equality — for matching user-supplied
- * axis names (replacement policies, pruning algorithms) against their
- * canonical spellings.
- */
-bool equalsIgnoreCase(const std::string &a, const std::string &b);
-
 /** True iff LLCF_FULL_SCALE requests full paper-scale experiments. */
 bool fullScale();
 

@@ -84,10 +84,4 @@ Rng::forStream(std::uint64_t master, std::uint64_t stream)
     return Rng(streamSeed(master, stream));
 }
 
-Rng
-Rng::split()
-{
-    return Rng(mix64(next()));
-}
-
 } // namespace llcf

@@ -47,8 +47,9 @@ std::uint64_t streamSeed(std::uint64_t master, std::uint64_t stream);
 /**
  * xoshiro256** pseudo-random generator with distribution helpers.
  *
- * Not thread-safe; give each simulated actor its own instance (forked
- * via split()) so actors stay decoupled and replayable.
+ * Not thread-safe; give each simulated actor its own instance (seeded
+ * positionally, e.g. via forStream()) so actors stay decoupled and
+ * replayable.
  */
 class Rng
 {
@@ -125,13 +126,6 @@ class Rng
 
     /** Poisson-distributed count with the given mean (lambda). */
     std::uint64_t nextPoisson(double lambda);
-
-    /**
-     * Fork an independent generator.  The child stream is derived by
-     * hashing this generator's next output, so parent and child do not
-     * overlap in practice.
-     */
-    Rng split();
 
     /** True iff both generators will produce the same draws. */
     bool operator==(const Rng &) const = default;

@@ -378,35 +378,6 @@ EmpiricalCdf::at(double x) const
            static_cast<double>(sorted_.size());
 }
 
-double
-EmpiricalCdf::quantile(double q) const
-{
-    double clamped = std::clamp(q, 0.0, 1.0);
-    double rank = clamped * static_cast<double>(sorted_.size() - 1);
-    std::size_t lo = static_cast<std::size_t>(rank);
-    std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
-    double frac = rank - static_cast<double>(lo);
-    return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-std::vector<std::pair<double, double>>
-EmpiricalCdf::curve(std::size_t points) const
-{
-    std::vector<std::pair<double, double>> out;
-    if (sorted_.empty() || points == 0)
-        return out;
-    const double lo = sorted_.front();
-    const double hi = sorted_.back();
-    const double step = points > 1 ? (hi - lo) /
-                        static_cast<double>(points - 1) : 0.0;
-    out.reserve(points);
-    for (std::size_t i = 0; i < points; ++i) {
-        double x = lo + step * static_cast<double>(i);
-        out.emplace_back(x, at(x));
-    }
-    return out;
-}
-
 std::string
 formatDuration(double cycles)
 {

@@ -281,17 +281,8 @@ class EmpiricalCdf
     /** P(X <= x) over the recorded samples. */
     double at(double x) const;
 
-    /** Inverse CDF: the q-quantile for q in [0,1]. @pre !empty() */
-    double quantile(double q) const;
-
     /** Number of samples. */
     std::size_t size() const { return sorted_.size(); }
-
-    /**
-     * Evaluate the CDF at @p points evenly spaced values covering
-     * [min, max]; returns (x, cdf) pairs, e.g. for plotting Figure 2.
-     */
-    std::vector<std::pair<double, double>> curve(std::size_t points) const;
 
   private:
     std::vector<double> sorted_;

@@ -46,8 +46,8 @@ DefenseConfig::check(unsigned llc_ways, unsigned sf_ways,
     }
 }
 
-SliceHashParams
-makeIndexHashParams(unsigned idx_bits, std::uint64_t key)
+std::vector<Addr>
+makeIndexMasks(unsigned idx_bits, std::uint64_t key)
 {
     // 48-bit PA model: keyed bits live strictly above the page offset.
     constexpr Addr kFrameBits =
@@ -60,7 +60,7 @@ makeIndexHashParams(unsigned idx_bits, std::uint64_t key)
             mask |= rng.next() & kFrameBits;
         masks[b] = mask;
     }
-    return SliceHashParams::xorMatrix(std::move(masks));
+    return masks;
 }
 
 unsigned
@@ -70,24 +70,6 @@ keyedIndexOf(const std::vector<Addr> &masks, Addr line)
     for (std::size_t b = 0; b < masks.size(); ++b)
         idx |= (std::popcount(line & masks[b]) & 1u) << b;
     return idx;
-}
-
-const char *
-defenseKindName(DefenseKind kind)
-{
-    switch (kind) {
-      case DefenseKind::None:
-        return "none";
-      case DefenseKind::KeyedRekey:
-        return "keyed-rekey";
-      case DefenseKind::WayPart:
-        return "way-part";
-      case DefenseKind::SfPart:
-        return "sf-part";
-      case DefenseKind::Watchdog:
-        return "watchdog";
-    }
-    panic("unknown defense kind %d", static_cast<int>(kind));
 }
 
 void

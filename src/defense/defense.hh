@@ -5,15 +5,15 @@
  * axis).  Three mechanism families are modelled:
  *
  *  - Keyed index randomization (CEASER/ScatterCache style): the
- *    shared-structure set index becomes a keyed XOR-matrix hash drawn
- *    from the same SliceHashParams family the slice hash uses, with an
- *    optional re-key interval that remaps every live LLC/SF line
- *    mid-run.  The keyed permutation acts on the page-uncontrolled
- *    index bits — the part of the mapping an attacker cannot learn
- *    from page offsets — so candidate-pool sizing is unchanged and a
- *    *static* key leaves the attack intact (the known CEASER-static
- *    weakness), while re-keying scrambles cross-page congruence and
- *    invalidates built eviction sets.
+ *    shared-structure set index becomes a keyed XOR-matrix hash (one
+ *    parity mask per index bit), with an optional re-key interval
+ *    that remaps every live LLC/SF line mid-run.  The keyed
+ *    permutation acts on the page-uncontrolled index bits — the part
+ *    of the mapping an attacker cannot learn from page offsets — so
+ *    candidate-pool sizing is unchanged and a *static* key leaves the
+ *    attack intact (the known CEASER-static weakness), while
+ *    re-keying scrambles cross-page congruence and invalidates built
+ *    eviction sets.
  *  - Way partitioning (Intel CAT style): per-domain allowed-way masks
  *    on the LLC and/or SF, enforced inside replacement victim
  *    selection so attacker fills can never evict the protected
@@ -32,8 +32,8 @@
 #define LLCF_DEFENSE_DEFENSE_HH
 
 #include <cstdint>
+#include <vector>
 
-#include "cache/slice_hash.hh"
 #include "common/types.hh"
 
 namespace llcf {
@@ -142,10 +142,9 @@ struct DefenseStats
  * index bit; masks for page-uncontrolled index bits additionally mix
  * keyed frame bits (>= kPageBits), so re-keying permutes how frames
  * land on the uncontrolled index space without disturbing the
- * page-offset structure attack code legitimately controls.  The
- * result is a genuine XorMatrix member of the SliceHashParams family.
+ * page-offset structure attack code legitimately controls.
  */
-SliceHashParams makeIndexHashParams(unsigned idx_bits, std::uint64_t key);
+std::vector<Addr> makeIndexMasks(unsigned idx_bits, std::uint64_t key);
 
 /** Apply an XOR-matrix index hash to a line address. */
 unsigned keyedIndexOf(const std::vector<Addr> &masks, Addr line);
@@ -161,9 +160,6 @@ enum class DefenseKind : std::uint8_t
     SfPart,     //!< SF way partition
     Watchdog,   //!< self-eviction watchdog triggering re-keys
 };
-
-/** Short kind name as used in cell names ("keyed-rekey", ...). */
-const char *defenseKindName(DefenseKind kind);
 
 /**
  * Scenario-axis value: which defense a cell deploys and its knobs.

@@ -23,16 +23,6 @@ SelfEvictionWatchdog::arm(unsigned core, std::vector<Addr> lines,
     windowMisses_ = 0;
 }
 
-void
-SelfEvictionWatchdog::disarm()
-{
-    armed_ = false;
-    lines_.clear();
-    nextProbe_ = kNeverCycles;
-    windowProbes_ = 0;
-    windowMisses_ = 0;
-}
-
 bool
 SelfEvictionWatchdog::observe(bool anomalous_miss, Cycles now)
 {

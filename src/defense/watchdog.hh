@@ -44,14 +44,11 @@ class SelfEvictionWatchdog
      */
     void arm(unsigned core, std::vector<Addr> lines, Cycles now);
 
-    /** Stop probing; lifetime totals survive. */
-    void disarm();
-
     bool armed() const { return armed_; }
     unsigned core() const { return core_; }
     const std::vector<Addr> &lines() const { return lines_; }
 
-    /** Absolute time of the next sweep (kNeverCycles when disarmed). */
+    /** Absolute time of the next sweep (kNeverCycles until armed). */
     Cycles nextProbeAt() const { return armed_ ? nextProbe_ : kNeverCycles; }
 
     /** Schedule the following sweep after one finishes. */

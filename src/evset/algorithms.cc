@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/options.hh"
 
 namespace llcf {
 
@@ -23,18 +22,6 @@ pruneAlgoName(PruneAlgo algo)
         return "BinS";
     }
     return "?";
-}
-
-bool
-parsePruneAlgo(const std::string &name, PruneAlgo &out)
-{
-    for (PruneAlgo algo : kAllPruneAlgos) {
-        if (equalsIgnoreCase(name, pruneAlgoName(algo))) {
-            out = algo;
-            return true;
-        }
-    }
-    return false;
 }
 
 bool

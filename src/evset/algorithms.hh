@@ -24,7 +24,6 @@
 #define LLCF_EVSET_ALGORITHMS_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "evset/session.hh"
@@ -36,12 +35,6 @@ enum class PruneAlgo { Gt, GtOp, Ps, PsOp, BinS };
 
 /** Human-readable algorithm name (paper nomenclature). */
 const char *pruneAlgoName(PruneAlgo algo);
-
-/**
- * Parse an algorithm name as printed by pruneAlgoName
- * (case-insensitive).  @return true and fills @p out on a known name.
- */
-bool parsePruneAlgo(const std::string &name, PruneAlgo &out);
 
 /** All pruning algorithms, for sweep-style experiments. */
 inline constexpr PruneAlgo kAllPruneAlgos[] = {

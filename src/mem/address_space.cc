@@ -71,19 +71,6 @@ AddressSpace::mmapAnon(std::size_t bytes)
 }
 
 Addr
-AddressSpace::mapShared(const std::vector<Addr> &frames)
-{
-    const Addr base = nextVa_;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        if (pageOffset(frames[i]) != 0)
-            panic("mapShared frame %zu not page aligned", i);
-        pageTable_[base + static_cast<Addr>(i) * kPageBytes] = frames[i];
-    }
-    nextVa_ += static_cast<Addr>(frames.size() + 1) * kPageBytes;
-    return base;
-}
-
-Addr
 AddressSpace::translate(Addr va) const
 {
     const Addr va_page = va & ~static_cast<Addr>(kPageBytes - 1);
@@ -115,13 +102,6 @@ AddressSpace::translateLines(Addr va, std::size_t bytes) const
         v = stop;
     }
     return lines;
-}
-
-bool
-AddressSpace::isMapped(Addr va) const
-{
-    const Addr va_page = va & ~static_cast<Addr>(kPageBytes - 1);
-    return pageTable_.count(va_page) != 0;
 }
 
 std::vector<Addr>

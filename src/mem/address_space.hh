@@ -80,8 +80,6 @@ class PageAllocator
  *
  * Only the mechanics an attack program relies on are modelled: mapping
  * anonymous memory (mmapAnon) and translating VAs to PAs during access.
- * Shared mappings (the victim binary mapped into the attacker for
- * ground-truth validation, Section 7.2) are supported via mapShared.
  */
 class AddressSpace
 {
@@ -101,13 +99,6 @@ class AddressSpace
      */
     Addr mmapAnon(std::size_t bytes);
 
-    /**
-     * Map an existing physical range (e.g. another process's pages)
-     * at a fresh VA.  @p frames are page base PAs.
-     * @return base virtual address of the mapping.
-     */
-    Addr mapShared(const std::vector<Addr> &frames);
-
     /** Translate a virtual address. @pre va was mapped here. */
     Addr translate(Addr va) const;
 
@@ -121,9 +112,6 @@ class AddressSpace
      * @pre va is line-aligned and the whole range is mapped here.
      */
     std::vector<Addr> translateLines(Addr va, std::size_t bytes) const;
-
-    /** True iff the page containing @p va is mapped. */
-    bool isMapped(Addr va) const;
 
     /** Physical frames backing a mapping of @p bytes at @p base. */
     std::vector<Addr> framesOf(Addr base, std::size_t bytes) const;

@@ -16,32 +16,6 @@ Dataset::add(std::vector<double> features, int label)
 }
 
 void
-Dataset::shuffle(Rng &rng)
-{
-    for (std::size_t i = size(); i > 1; --i) {
-        std::size_t j = static_cast<std::size_t>(rng.nextBelow(i));
-        std::swap(x[i - 1], x[j]);
-        std::swap(y[i - 1], y[j]);
-    }
-}
-
-std::pair<Dataset, Dataset>
-Dataset::split(double fraction) const
-{
-    Dataset train, val;
-    const std::size_t n_val = static_cast<std::size_t>(
-        static_cast<double>(size()) * fraction);
-    const std::size_t n_train = size() - n_val;
-    for (std::size_t i = 0; i < size(); ++i) {
-        if (i < n_train)
-            train.add(x[i], y[i]);
-        else
-            val.add(x[i], y[i]);
-    }
-    return {std::move(train), std::move(val)};
-}
-
-void
 StandardScaler::fit(const Dataset &data)
 {
     const std::size_t f = data.features();

@@ -1,16 +1,14 @@
 /**
  * @file
  * Small dense dataset utilities for the trace classifiers: feature
- * scaling, train/validation splitting, and binary metrics matching
- * what the paper reports (false-positive / false-negative rates).
+ * scaling and binary metrics matching what the paper reports
+ * (false-positive / false-negative rates).
  */
 
 #ifndef LLCF_ML_DATASET_HH
 #define LLCF_ML_DATASET_HH
 
 #include <vector>
-
-#include "common/rng.hh"
 
 namespace llcf {
 
@@ -25,12 +23,6 @@ struct Dataset
 
     /** Append one sample. */
     void add(std::vector<double> features, int label);
-
-    /** Shuffle samples in place. */
-    void shuffle(Rng &rng);
-
-    /** Split off the last @p fraction as a validation set. */
-    std::pair<Dataset, Dataset> split(double fraction) const;
 };
 
 /** Per-feature standardisation to zero mean / unit variance. */

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/log.hh"
+#include "common/rng.hh"
 
 namespace llcf {
 

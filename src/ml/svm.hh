@@ -8,6 +8,8 @@
 #ifndef LLCF_ML_SVM_HH
 #define LLCF_ML_SVM_HH
 
+#include <cstdint>
+
 #include "ml/dataset.hh"
 
 namespace llcf {

@@ -732,6 +732,19 @@ makeBuiltins()
             b.description = "Rotation campaign at a " + budget +
                             " Step-2 budget (keys-per-cycle-budget curve)";
             b.scanTimeoutSec = ms / 1e3;
+            // Declared regimes: the starved budget must kill the
+            // attack, the tight and slack ones must let it succeed.
+            if (ms < 15)
+                b.expect = {Ex::Series::OutcomeRate, "key_recovered",
+                            Ex::Cmp::AtMost, 0.0,
+                            "a 5 ms budget starves the ~15 ms scan; a "
+                            "recovered key means the budget is not "
+                            "enforced"};
+            else
+                b.expect = {Ex::Series::OutcomeRate, "key_recovered",
+                            Ex::Cmp::AtLeast, 0.5,
+                            "a budget above the ~15 ms scan must "
+                            "recover keys; the attack is broken"};
             reg.add(b);
         }
     }

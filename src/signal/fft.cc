@@ -7,15 +7,6 @@
 
 namespace llcf {
 
-std::size_t
-nextPowerOf2(std::size_t n)
-{
-    std::size_t p = 1;
-    while (p < n)
-        p <<= 1;
-    return p;
-}
-
 void
 fft(std::vector<Complex> &data, bool inverse)
 {
@@ -55,16 +46,6 @@ fft(std::vector<Complex> &data, bool inverse)
         for (auto &x : data)
             x /= static_cast<double>(n);
     }
-}
-
-std::vector<Complex>
-fftReal(const std::vector<double> &signal)
-{
-    std::vector<Complex> data(nextPowerOf2(signal.size()));
-    for (std::size_t i = 0; i < signal.size(); ++i)
-        data[i] = Complex(signal[i], 0.0);
-    fft(data);
-    return data;
 }
 
 } // namespace llcf

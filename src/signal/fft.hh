@@ -21,15 +21,6 @@ using Complex = std::complex<double>;
  */
 void fft(std::vector<Complex> &data, bool inverse = false);
 
-/**
- * Forward FFT of a real signal, zero-padded to the next power of two.
- * @return complex spectrum of length >= signal size.
- */
-std::vector<Complex> fftReal(const std::vector<double> &signal);
-
-/** Smallest power of two >= n. */
-std::size_t nextPowerOf2(std::size_t n);
-
 } // namespace llcf
 
 #endif // LLCF_SIGNAL_FFT_HH

@@ -33,36 +33,6 @@ makeWindow(WindowKind kind, std::size_t n)
     return w;
 }
 
-std::size_t
-PsdEstimate::peakIndex(double min_hz) const
-{
-    std::size_t best = 0;
-    double best_power = -1.0;
-    for (std::size_t i = 0; i < frequency.size(); ++i) {
-        if (frequency[i] < min_hz)
-            continue;
-        if (power[i] > best_power) {
-            best_power = power[i];
-            best = i;
-        }
-    }
-    return best;
-}
-
-double
-PsdEstimate::powerAt(double hz) const
-{
-    if (frequency.empty())
-        return 0.0;
-    auto it = std::lower_bound(frequency.begin(), frequency.end(), hz);
-    std::size_t idx = static_cast<std::size_t>(it - frequency.begin());
-    if (idx >= frequency.size())
-        idx = frequency.size() - 1;
-    if (idx > 0 && hz - frequency[idx - 1] < frequency[idx] - hz)
-        --idx;
-    return power[idx];
-}
-
 double
 PsdEstimate::totalPower() const
 {
@@ -153,28 +123,6 @@ binEvents(const std::vector<Cycles> &timestamps, Cycles duration,
             out[idx] += 1.0;
     }
     return out;
-}
-
-double
-harmonicScore(const PsdEstimate &psd, double base_hz, unsigned harmonics,
-              double tolerance)
-{
-    const double total = psd.totalPower();
-    if (total <= 0.0 || psd.frequency.size() < 2)
-        return 0.0;
-    const double df = psd.frequency[1] - psd.frequency[0];
-    double score = 0.0;
-    for (unsigned h = 1; h <= harmonics; ++h) {
-        const double f = base_hz * static_cast<double>(h);
-        const double half = std::max(df, f * tolerance);
-        double band = 0.0;
-        for (std::size_t i = 0; i < psd.frequency.size(); ++i) {
-            if (std::abs(psd.frequency[i] - f) <= half)
-                band += psd.power[i];
-        }
-        score += band;
-    }
-    return score / total;
 }
 
 } // namespace llcf

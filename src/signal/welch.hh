@@ -2,8 +2,8 @@
  * @file
  * Power spectral density estimation with Welch's method [Welch 1967],
  * as the paper uses to identify the victim's target cache set in the
- * frequency domain (Section 6.2), plus the event-trace binning and
- * peak utilities around it.
+ * frequency domain (Section 6.2), plus the event-trace binning that
+ * feeds it.
  */
 
 #ifndef LLCF_SIGNAL_WELCH_HH
@@ -48,12 +48,6 @@ struct PsdEstimate
     /** True iff at least one segment was averaged. */
     bool valid() const { return segments > 0; }
 
-    /** Index of the strongest bin at or above @p min_hz. */
-    std::size_t peakIndex(double min_hz = 0.0) const;
-
-    /** Power at the bin nearest @p hz. */
-    double powerAt(double hz) const;
-
     /** Total power (for normalisation). */
     double totalPower() const;
 };
@@ -79,15 +73,6 @@ PsdEstimate welchPsd(const std::vector<double> &signal,
  */
 std::vector<double> binEvents(const std::vector<Cycles> &timestamps,
                               Cycles duration, Cycles bin);
-
-/**
- * Harmonic-comb power score: sum of normalised PSD power in small
- * neighbourhoods of @p base_hz and its first harmonics.  A cheap,
- * classifier-free detector used as a baseline and for feature
- * engineering.
- */
-double harmonicScore(const PsdEstimate &psd, double base_hz,
-                     unsigned harmonics = 3, double tolerance = 0.08);
 
 } // namespace llcf
 

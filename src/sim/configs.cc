@@ -5,11 +5,10 @@
 
 namespace llcf {
 
-SliceHashParams
-MachineConfig::sliceHashParams(std::uint64_t machine_seed) const
+std::uint64_t
+MachineConfig::sliceHashSalt(std::uint64_t machine_seed) const
 {
-    return SliceHashParams::opaque(llc.slices,
-                                   sliceSalt ^ mix64(machine_seed));
+    return sliceSalt ^ mix64(machine_seed);
 }
 
 void

@@ -12,7 +12,6 @@
 
 #include "cache/geometry.hh"
 #include "cache/replacement.hh"
-#include "cache/slice_hash.hh"
 #include "defense/defense.hh"
 #include "sim/timing.hh"
 
@@ -60,14 +59,12 @@ struct MachineConfig
     void check() const;
 
     /**
-     * The slice-hash family member this host instantiates: the opaque
-     * hash over the LLC slice count, keyed by the config salt mixed
-     * with the per-machine @p machine_seed (so two simulated hosts of
-     * the same model still have distinct slice mappings).  Machine
-     * builds its hash from exactly this record, and the family goldens
-     * in tests/test_calib.cc pin the round-trip bit-for-bit.
+     * Key of this host's opaque slice hash: the config salt mixed with
+     * the per-machine @p machine_seed, so two simulated hosts of the
+     * same model still have distinct slice mappings.  Machine keys its
+     * hash with exactly this value.
      */
-    SliceHashParams sliceHashParams(std::uint64_t machine_seed) const;
+    std::uint64_t sliceHashSalt(std::uint64_t machine_seed) const;
 
     /**
      * Set the replacement policy of the shared structures (LLC + SF)

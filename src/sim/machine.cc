@@ -43,22 +43,6 @@ sharedSetCount(const MachineConfig &cfg)
     return std::max(cfg.llc.totalSets(), cfg.sf.totalSets());
 }
 
-/**
- * Instantiate the config's slice-hash record as the by-value hash the
- * access hot path inlines.  Only the opaque family member has the
- * divide-free inline slice(); a config asking for another kind is a
- * configuration error rather than a silent fallback.
- */
-OpaqueSliceHash
-inlineSliceHash(const SliceHashParams &params)
-{
-    if (params.kind != SliceHashKind::Opaque)
-        fatal("machine hot path requires the opaque slice-hash family "
-              "member, not %s",
-              sliceHashKindName(params.kind));
-    return OpaqueSliceHash(params.slices, params.salt);
-}
-
 } // namespace
 
 Machine::Machine(const MachineConfig &cfg, const NoiseProfile &noise,
@@ -68,7 +52,7 @@ Machine::Machine(const MachineConfig &cfg, const NoiseProfile &noise,
       rng_(mix64(seed ^ 0x6d61636869ULL)),
       jitterRng_(mix64(seed + 0x7ea5)),
       allocator_(cfg.physFrames, Rng(mix64(seed + 0xa110c))),
-      sliceHash_(inlineSliceHash(cfg.sliceHashParams(seed))),
+      sliceHash_(cfg.llc.slices, cfg.sliceHashSalt(seed)),
       sharedTags_(sharedSetCount(cfg) * sharedTagStride(cfg) +
                       kLineBytes / sizeof(Addr),
                   0),
@@ -92,9 +76,8 @@ Machine::Machine(const MachineConfig &cfg, const NoiseProfile &noise,
         if (cfg_.defense.randomize.enabled) {
             rekeyRng_ =
                 Rng(mix64(seed ^ cfg_.defense.randomize.keySalt));
-            indexHashParams_ = makeIndexHashParams(cfg_.llc.indexBits(),
-                                                   rekeyRng_.next());
-            indexMasks_ = indexHashParams_.masks;
+            indexMasks_ = makeIndexMasks(cfg_.llc.indexBits(),
+                                         rekeyRng_.next());
             if (cfg_.defense.randomize.rekeyInterval > 0)
                 nextRekey_ = cfg_.defense.randomize.rekeyInterval;
         }
@@ -898,9 +881,7 @@ Machine::rekeyNow()
 {
     if (!cfg_.defense.randomize.enabled)
         fatal("rekeyNow: index randomization disabled");
-    indexHashParams_ = makeIndexHashParams(cfg_.llc.indexBits(),
-                                           rekeyRng_.next());
-    indexMasks_ = indexHashParams_.masks;
+    indexMasks_ = makeIndexMasks(cfg_.llc.indexBits(), rekeyRng_.next());
     ++rekeys_;
     remapSharedStructures();
 }
@@ -1037,7 +1018,6 @@ Machine::snapshot() const
     s.stats = stats_;
     s.perf = perf_;
     s.indexMasks = indexMasks_;
-    s.indexHashParams = indexHashParams_;
     s.rekeyRng = rekeyRng_;
     s.nextRekey = nextRekey_;
     s.rekeyPending = rekeyPending_;
@@ -1074,7 +1054,6 @@ Machine::restore(const Snapshot &s)
     stats_ = s.stats;
     perf_ = s.perf;
     indexMasks_ = s.indexMasks;
-    indexHashParams_ = s.indexHashParams;
     rekeyRng_ = s.rekeyRng;
     nextRekey_ = s.nextRekey;
     rekeyPending_ = s.rekeyPending;

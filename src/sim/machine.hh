@@ -265,16 +265,6 @@ class Machine
     bool indexRandomized() const { return !indexMasks_.empty(); }
 
     /**
-     * The XorMatrix slice-hash-family member currently keying the
-     * shared set index.  @pre indexRandomized()
-     */
-    const SliceHashParams &
-    indexHashParams() const
-    {
-        return indexHashParams_;
-    }
-
-    /**
      * Re-key the index hash immediately: draw the next key, remap
      * every live LLC/SF line to its set under the new key (evicting
      * through the ordinary paths on conflicts) and charge the
@@ -361,7 +351,6 @@ class Machine
         PerfCounters perf;
         // Defense state (inert defaults when no defense is on).
         std::vector<Addr> indexMasks;
-        SliceHashParams indexHashParams;
         Rng rekeyRng;
         Cycles nextRekey = kNeverCycles;
         bool rekeyPending = false;
@@ -674,7 +663,6 @@ class Machine
     // and one empty() test in sharedSetOf.
 
     std::vector<Addr> indexMasks_; //!< keyed index hash; empty = natural
-    SliceHashParams indexHashParams_; //!< family record of indexMasks_
     Rng rekeyRng_;                    //!< key stream for (re)keying
     Cycles nextRekey_ = kNeverCycles; //!< next interval-triggered re-key
     bool rekeyPending_ = false; //!< watchdog requested a re-key

@@ -17,9 +17,6 @@ namespace llcf {
 /** Which level of the hierarchy served an access. */
 enum class HitLevel { L1, L2, SfTransfer, Llc, Dram };
 
-/** Human-readable level name. */
-const char *hitLevelName(HitLevel level);
-
 /**
  * Timing model of one machine.  Latencies are for isolated
  * (dependent) accesses; thr* are the marginal per-line costs when

@@ -14,20 +14,6 @@
 
 namespace llcf {
 
-const char *
-arrivalKindName(ArrivalKind kind)
-{
-    switch (kind) {
-    case ArrivalKind::None:
-        return "none";
-    case ArrivalKind::Poisson:
-        return "poisson";
-    case ArrivalKind::Bursty:
-        return "bursty";
-    }
-    return "?";
-}
-
 void
 ArrivalSpec::check() const
 {

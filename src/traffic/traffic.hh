@@ -36,9 +36,6 @@ enum class ArrivalKind {
     Bursty,  //!< on/off bursts; the long-run mean rate is preserved
 };
 
-/** Human-readable arrival-kind name (for cell listings). */
-const char *arrivalKindName(ArrivalKind kind);
-
 /**
  * Declarative description of an arrival process.  `ratePerSec` is the
  * long-run mean arrival rate for both kinds; a bursty process

@@ -95,40 +95,55 @@ Victim::triggerRequest(Cycles request_start)
     return exec;
 }
 
-std::vector<Victim::Execution>
-Victim::serveRequests(Cycles first_start, unsigned count)
+std::optional<Victim::Execution>
+Victim::serveNext(Cycles first_start, Cycles &start)
 {
-    std::vector<Execution> out;
-    out.reserve(count);
-    Cycles start = first_start;
-    for (unsigned i = 0; i < count; ++i) {
-        if (remainingQuota() == 0)
-            break;
-        if (arrivals_) {
-            // Open loop: the arrival clock runs independently of
-            // service completions; early arrivals queue behind the
-            // in-flight request.
-            if (!arrivalsPrimed_) {
-                nextArrival_ =
-                    first_start + arrivals_->nextInterarrival();
-                arrivalsPrimed_ = true;
-            }
-            const Cycles arrival = nextArrival_;
-            nextArrival_ = arrival + arrivals_->nextInterarrival();
-            start = std::max({arrival, lastRequestEnd_, first_start});
-            queueDelaySum_ += static_cast<double>(start - arrival);
-            ++arrivalCount_;
+    if (remainingQuota() == 0)
+        return std::nullopt;
+    if (arrivals_) {
+        // Open loop: the arrival clock runs independently of service
+        // completions; early arrivals queue behind the in-flight
+        // request.
+        if (!arrivalsPrimed_) {
+            nextArrival_ = first_start + arrivals_->nextInterarrival();
+            arrivalsPrimed_ = true;
         }
-        Execution exec = triggerRequest(start);
-        lastRequestEnd_ = exec.requestEnd;
-        if (!arrivals_) {
-            // Small think time between requests.
-            const Cycles gap = closedLoopGap();
-            start = exec.requestEnd + gap;
-        }
-        out.push_back(std::move(exec));
+        const Cycles arrival = nextArrival_;
+        nextArrival_ = arrival + arrivals_->nextInterarrival();
+        start = std::max({arrival, lastRequestEnd_, first_start});
+        queueDelaySum_ += static_cast<double>(start - arrival);
+        ++arrivalCount_;
     }
-    return out;
+    Execution exec = triggerRequest(start);
+    lastRequestEnd_ = exec.requestEnd;
+    if (!arrivals_) {
+        // Small think time between requests.
+        const Cycles gap = closedLoopGap();
+        start = exec.requestEnd + gap;
+    }
+    return exec;
+}
+
+unsigned
+Victim::serveRequests(Cycles first_start, unsigned count,
+                      std::vector<Execution> *truths)
+{
+    Cycles start = first_start;
+    unsigned served = 0;
+    for (; served < count; ++served) {
+        std::optional<Execution> exec = serveNext(first_start, start);
+        if (!exec)
+            break;
+        if (truths)
+            truths->push_back(std::move(*exec));
+    }
+    return served;
+}
+
+std::optional<Victim::Execution>
+Victim::serveRequest(Cycles start)
+{
+    return serveNext(start, start);
 }
 
 // ------------------------------------------------- EcdsaLadderVictim

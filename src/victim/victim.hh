@@ -42,6 +42,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "crypto/biguint.hh"
@@ -178,13 +179,22 @@ class Victim
      * gaps so the leaky loop occupies ~dutyCycle of wall time.
      * Open loop: requests are timed by the arrival process and queue
      * behind the previous request when they arrive early.  Stops
-     * once the request quota (if any) is exhausted, so the result
-     * may hold fewer than @p count executions — callers must not
-     * index it unchecked.
-     * @return ground truth per served request.
+     * once the request quota (if any) is exhausted.  Only the access
+     * streams stay behind; each request's ground truth is dropped
+     * once they are registered.  When @p truths is given, the ground
+     * truth of every served request is appended to it instead.
+     * @return the number of requests served (fewer than @p count
+     *         once the quota runs out, possibly none).
      */
-    std::vector<Execution> serveRequests(Cycles first_start,
-                                         unsigned count);
+    unsigned serveRequests(Cycles first_start, unsigned count,
+                           std::vector<Execution> *truths = nullptr);
+
+    /**
+     * Serve one request at @p start exactly as serveRequests(start, 1)
+     * does, and return its ground truth.
+     * @return std::nullopt once the request quota is exhausted.
+     */
+    std::optional<Execution> serveRequest(Cycles start);
 
     /** Requests still allowed by the quota (~0 when unlimited). */
     std::uint64_t
@@ -245,6 +255,14 @@ class Victim
     std::uint64_t requestCounter_ = 0;
 
   private:
+    /**
+     * The next request of a batch that began at @p first_start:
+     * quota check, arrival timing, triggerRequest.  @p start is the
+     * closed-loop start of this request and becomes the next one's.
+     */
+    std::optional<Execution> serveNext(Cycles first_start,
+                                       Cycles &start);
+
     std::unique_ptr<ArrivalProcess> arrivals_;
     Cycles nextArrival_ = 0;
     bool arrivalsPrimed_ = false;

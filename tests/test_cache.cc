@@ -10,11 +10,13 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "cache/cache_array.hh"
 #include "cache/geometry.hh"
 #include "cache/replacement.hh"
 #include "cache/slice_hash.hh"
+#include "defense/defense.hh"
 #include "repl_policy.hh"
 
 namespace llcf {
@@ -152,11 +154,13 @@ TEST(Srrip, InsertedLineEvictedBeforePromotedLine)
 
 TEST(ReplFactory, NamesRoundTrip)
 {
-    for (ReplKind k : {ReplKind::LRU, ReplKind::TreePLRU, ReplKind::SRRIP,
-                       ReplKind::Random}) {
+    std::set<std::string> names;
+    for (ReplKind k : kAllReplKinds) {
         auto p = makeReplPolicy(k);
         EXPECT_EQ(p->kind(), k);
         EXPECT_STRNE(replKindName(k), "?");
+        EXPECT_TRUE(names.insert(replKindName(k)).second)
+            << replKindName(k);
     }
 }
 
@@ -199,14 +203,13 @@ TEST(SliceHash, PageOffsetDoesNotDetermineSlice)
     EXPECT_GT(slices.size(), 20u);
 }
 
-TEST(SliceHash, XorMatrixParityAndSliceCount)
+TEST(KeyedIndex, XorMaskParity)
 {
-    // One mask per slice bit; parity of the masked PA selects it.
-    XorMatrixSliceHash hash({0x1111111111111140ull,
-                             0x2222222222222280ull});
-    EXPECT_EQ(hash.slices(), 4u);
+    // One mask per index bit; parity of the masked PA selects it.
+    const std::vector<Addr> masks = {0x1111111111111140ull,
+                                     0x2222222222222280ull};
     for (Addr pa : {0x0ull, 0x40ull, 0x80ull, 0xc0ull, 0x1234000ull}) {
-        unsigned s = hash.slice(pa);
+        unsigned s = keyedIndexOf(masks, pa);
         EXPECT_LT(s, 4u);
         unsigned bit0 = __builtin_popcountll(pa &
                         0x1111111111111140ull) & 1;

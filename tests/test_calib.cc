@@ -1,15 +1,14 @@
 /**
  * @file
  * Tests for the Step-0 blind-topology calibration subsystem: the
- * parameterized slice-hash family (bit-for-bit goldens against the
- * machines' existing hashes), the blind minimal-set reduction, the
- * TopologyProber's accuracy on the deterministic anchor hosts, the
- * blind-session discipline (no geometry before calibration), the
- * per-field oracle comparison report, 1-vs-8-thread byte-identical
- * calibration suite JSON, and the blind-vs-oracle end-to-end
- * regression: a blind campaign still recovers keys on the quiet
- * Skylake-SP scenario, with calibration cycles charged to the
- * per-key cost.
+ * machines' slice and keyed-index hashes (bit-for-bit goldens), the
+ * blind minimal-set reduction, the TopologyProber's accuracy on the
+ * deterministic anchor hosts, the blind-session discipline (no
+ * geometry before calibration), the per-field oracle comparison
+ * report, 1-vs-8-thread byte-identical calibration suite JSON, and
+ * the blind-vs-oracle end-to-end regression: a blind campaign still
+ * recovers keys on the quiet Skylake-SP scenario, with calibration
+ * cycles charged to the per-key cost.
  */
 
 #include <gtest/gtest.h>
@@ -33,11 +32,11 @@ spec(const char *name)
     return *s;
 }
 
-// ------------------------------------------- slice-hash family
+// ------------------------------------------- slice hash
 
-// The family factory must reproduce the machines' inlined hashes
-// bit-for-bit: same record, same slice for every address.
-TEST(SliceHashFamily, ReproducesMachineHashes)
+// The opaque hash keyed with the config's salt must reproduce the
+// machines' slices bit-for-bit for every address.
+TEST(MachineSliceHash, ReproducesMachineHashes)
 {
     struct Row
     {
@@ -50,37 +49,44 @@ TEST(SliceHashFamily, ReproducesMachineHashes)
     ASSERT_TRUE(noiseProfileByName("silent", silent));
     for (const Row &r : rows) {
         Machine m(r.cfg, silent, r.seed);
-        auto h = makeSliceHash(r.cfg.sliceHashParams(r.seed));
-        ASSERT_EQ(h->slices(), r.cfg.llc.slices);
+        const OpaqueSliceHash h(r.cfg.llc.slices,
+                                r.cfg.sliceHashSalt(r.seed));
+        ASSERT_EQ(h.slices(), r.cfg.llc.slices);
         for (Addr pa = 0; pa < (1ULL << 22); pa += 0x3fc0)
-            EXPECT_EQ(h->slice(pa), m.sliceOf(pa)) << r.cfg.name;
+            EXPECT_EQ(h.slice(pa), m.sliceOf(pa)) << r.cfg.name;
     }
 }
 
 // Pinned goldens: the SKL/ICX opaque hashes must never drift across
-// refactors (these values were produced by the pre-family hash).
-TEST(SliceHashFamily, PinnedGoldens)
+// refactors.
+TEST(MachineSliceHash, PinnedGoldens)
 {
     const Addr pas[] = {0x0,        0x40,        0x1000,      0x3f7c0,
                         0x7fffffc0, 0x123456780, 0xdeadbeef00};
     const unsigned skl[] = {14, 6, 25, 15, 12, 17, 19};
     const unsigned icx[] = {2, 18, 9, 7, 14, 23, 13};
-    auto hs = makeSliceHash(skylakeSp(28).sliceHashParams(42));
-    auto hi = makeSliceHash(iceLakeSp(26).sliceHashParams(42));
+    const MachineConfig skl_cfg = skylakeSp(28);
+    const MachineConfig icx_cfg = iceLakeSp(26);
+    const OpaqueSliceHash hs(skl_cfg.llc.slices,
+                             skl_cfg.sliceHashSalt(42));
+    const OpaqueSliceHash hi(icx_cfg.llc.slices,
+                             icx_cfg.sliceHashSalt(42));
     for (std::size_t i = 0; i < std::size(pas); ++i) {
-        EXPECT_EQ(hs->slice(pas[i]), skl[i]) << i;
-        EXPECT_EQ(hi->slice(pas[i]), icx[i]) << i;
+        EXPECT_EQ(hs.slice(pas[i]), skl[i]) << i;
+        EXPECT_EQ(hi.slice(pas[i]), icx[i]) << i;
     }
 }
 
-TEST(SliceHashFamily, XorMatrixMember)
+// Pinned goldens of the keyed set-index parity the randomized-index
+// defense runs: index bit i = parity(pa & masks[i]).
+TEST(KeyedIndex, PinnedGoldens)
 {
     const std::vector<Addr> masks = {0x55555540, 0xaaaaaa80};
-    auto h = makeSliceHash(SliceHashParams::xorMatrix(masks));
-    XorMatrixSliceHash direct(masks);
-    ASSERT_EQ(h->slices(), 4u);
-    for (Addr pa = 0; pa < (1ULL << 20); pa += 0x1fc0)
-        EXPECT_EQ(h->slice(pa), direct.slice(pa));
+    const Addr pas[] = {0x0,   0x40,   0x80,       0xc0,      0x100,
+                        0x300, 0x1fc0, 0xdeadbec0, 0x12345640};
+    const unsigned idx[] = {0, 1, 2, 3, 1, 3, 2, 2, 3};
+    for (std::size_t i = 0; i < std::size(pas); ++i)
+        EXPECT_EQ(keyedIndexOf(masks, pas[i]), idx[i]) << i;
 }
 
 // ------------------------------------------- blind primitives
@@ -140,8 +146,6 @@ TEST_F(BlindRigTest, ProberRecoversTinyTopology)
     EXPECT_GT(calib.confidence, 0.0);
     EXPECT_GT(calib.cycles, 0u);
     EXPECT_GT(calib.testEvictions, 0u);
-    EXPECT_EQ(calib.hashModel.kind, SliceHashKind::Opaque);
-    EXPECT_EQ(calib.hashModel.slices, calib.view.slices);
 }
 
 // ------------------------------------------- oracle comparison

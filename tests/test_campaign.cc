@@ -249,7 +249,8 @@ TEST(CampaignQuota, EndToEndSurvivesVictimExhaustion)
     params.scanner.timeout = secToCycles(spec.scanTimeoutSec);
     EndToEndAttack attack(*rig.session, victim, classifier, extractor,
                           params);
-    E2EResult res = attack.run(*rig.pool);
+    E2EResult res = attack.run(
+        *rig.pool, EndToEndAttack::scanRequestCount(victim, params.scanner));
 
     ASSERT_TRUE(res.evsetsBuilt);
     ASSERT_TRUE(res.targetFound);

@@ -127,16 +127,6 @@ TEST(Rng, PoissonMeanSmallAndLargeLambda)
     }
 }
 
-TEST(Rng, SplitProducesIndependentStream)
-{
-    Rng a(31);
-    Rng b = a.split();
-    bool differs = false;
-    for (int i = 0; i < 50; ++i)
-        differs |= a.next() != b.next();
-    EXPECT_TRUE(differs);
-}
-
 TEST(Rng, ShuffleIsPermutation)
 {
     Rng rng(37);
@@ -213,27 +203,6 @@ TEST(Stats, EmpiricalCdfMonotone)
         EXPECT_GE(v, prev);
         prev = v;
     }
-}
-
-TEST(Stats, EmpiricalCdfQuantile)
-{
-    std::vector<double> samples;
-    for (int i = 0; i <= 100; ++i)
-        samples.push_back(static_cast<double>(i));
-    EmpiricalCdf cdf(std::move(samples));
-    EXPECT_NEAR(cdf.quantile(0.5), 50.0, 0.5);
-    EXPECT_DOUBLE_EQ(cdf.quantile(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(cdf.quantile(1.0), 100.0);
-}
-
-TEST(Stats, CdfCurveCoversRange)
-{
-    EmpiricalCdf cdf({0.0, 5.0, 10.0});
-    auto curve = cdf.curve(11);
-    ASSERT_EQ(curve.size(), 11u);
-    EXPECT_DOUBLE_EQ(curve.front().first, 0.0);
-    EXPECT_DOUBLE_EQ(curve.back().first, 10.0);
-    EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
 }
 
 TEST(Stats, FormatDurationUnits)

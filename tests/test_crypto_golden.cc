@@ -4,8 +4,8 @@
  * against NIST CAVS / FIPS 180-4 byte-oriented vectors beyond the
  * ones in test_crypto.cc, BigUint multiply/divide/mod round-trip
  * identities on random multi-limb operands, slice-hash uniformity and
- * pinned mappings for the default machine salts, and an ECDSA
- * sign/verify + ladder-nonce-bit round trip.
+ * pinned mappings for the default machine salts, keyed-index parity,
+ * and an ECDSA sign/verify + ladder-nonce-bit round trip.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "crypto/biguint.hh"
 #include "crypto/ecdsa.hh"
 #include "crypto/sha256.hh"
+#include "defense/defense.hh"
 
 namespace llcf {
 namespace {
@@ -211,16 +212,15 @@ TEST(SliceHashGolden, PinnedValuesForDefaultSalt)
     }
 }
 
-TEST(SliceHashGolden, XorMatrixParity)
+TEST(KeyedIndexGolden, XorMaskParity)
 {
-    // Two mask bits -> 4 slices; slice bit i = parity(pa & mask[i]).
-    XorMatrixSliceHash hash({0x40ULL, 0x80ULL});
-    EXPECT_EQ(hash.slices(), 4u);
-    EXPECT_EQ(hash.slice(0x000), 0u);
-    EXPECT_EQ(hash.slice(0x040), 1u);
-    EXPECT_EQ(hash.slice(0x080), 2u);
-    EXPECT_EQ(hash.slice(0x0c0), 3u);
-    EXPECT_EQ(hash.slice(0x1c0), 3u); // bit 8 not in any mask
+    // Two masks -> 2 index bits; index bit i = parity(pa & mask[i]).
+    const std::vector<Addr> masks = {0x40ULL, 0x80ULL};
+    EXPECT_EQ(keyedIndexOf(masks, 0x000), 0u);
+    EXPECT_EQ(keyedIndexOf(masks, 0x040), 1u);
+    EXPECT_EQ(keyedIndexOf(masks, 0x080), 2u);
+    EXPECT_EQ(keyedIndexOf(masks, 0x0c0), 3u);
+    EXPECT_EQ(keyedIndexOf(masks, 0x1c0), 3u); // bit 8 not in any mask
 }
 
 // ---------------------------------------------------------------- ECDSA

@@ -36,42 +36,41 @@ silent()
 
 // ------------------------------------------------- keyed index hash
 
-TEST(IndexHash, ParamsAreXorMatrixFamilyMembers)
+TEST(IndexHash, MasksKeepPageControlledBits)
 {
     const unsigned idx_bits = 8; // the tiny LLC's 256 sets
-    const SliceHashParams p = makeIndexHashParams(idx_bits, 0x1234);
-    EXPECT_EQ(p.kind, SliceHashKind::XorMatrix);
-    ASSERT_EQ(p.masks.size(), idx_bits);
+    const std::vector<Addr> masks = makeIndexMasks(idx_bits, 0x1234);
+    ASSERT_EQ(masks.size(), idx_bits);
     for (unsigned b = 0; b < idx_bits; ++b) {
         // Every mask keeps its natural index bit ...
-        EXPECT_TRUE(p.masks[b] >> (kLineBits + b) & 1) << "bit " << b;
+        EXPECT_TRUE(masks[b] >> (kLineBits + b) & 1) << "bit " << b;
         // ... and page-controlled bits mix nothing else: the
         // page-offset structure the attacker legitimately controls is
         // untouched, so candidate-pool sizing is unchanged.
         if (kLineBits + b < kPageBits)
-            EXPECT_EQ(p.masks[b], Addr{1} << (kLineBits + b));
+            EXPECT_EQ(masks[b], Addr{1} << (kLineBits + b));
         else
-            EXPECT_NE(p.masks[b], Addr{1} << (kLineBits + b));
+            EXPECT_NE(masks[b], Addr{1} << (kLineBits + b));
         // Keyed bits live strictly above the page offset.
-        EXPECT_EQ(p.masks[b] & ((Addr{1} << kPageBits) - 1),
+        EXPECT_EQ(masks[b] & ((Addr{1} << kPageBits) - 1),
                   Addr{1} << (kLineBits + b) & ((Addr{1} << kPageBits) - 1));
     }
-    // Same key, same params; different key, different uncontrolled
+    // Same key, same masks; different key, different uncontrolled
     // mixing.
-    EXPECT_EQ(makeIndexHashParams(idx_bits, 0x1234).masks, p.masks);
-    EXPECT_NE(makeIndexHashParams(idx_bits, 0x1235).masks, p.masks);
+    EXPECT_EQ(makeIndexMasks(idx_bits, 0x1234), masks);
+    EXPECT_NE(makeIndexMasks(idx_bits, 0x1235), masks);
 }
 
 TEST(IndexHash, PageControlledBitsPassThrough)
 {
-    const SliceHashParams p = makeIndexHashParams(8, 99);
+    const std::vector<Addr> masks = makeIndexMasks(8, 99);
     const Addr base = Addr{0x3a} << kPageBits;
     for (unsigned b = 0; kLineBits + b < kPageBits; ++b) {
         const Addr flipped = base ^ (Addr{1} << (kLineBits + b));
         // Flipping a page-offset index bit flips exactly that index
         // bit of the keyed index.
-        EXPECT_EQ(keyedIndexOf(p.masks, base) ^
-                      keyedIndexOf(p.masks, flipped),
+        EXPECT_EQ(keyedIndexOf(masks, base) ^
+                      keyedIndexOf(masks, flipped),
                   1u << b);
     }
 }

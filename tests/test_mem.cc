@@ -138,32 +138,11 @@ TEST_F(AddressSpaceTest, DistinctPagesGetDistinctFrames)
     EXPECT_EQ(frames.size(), 16u);
 }
 
-TEST_F(AddressSpaceTest, IsMappedReflectsMappings)
-{
-    const Addr base = space_.mmapAnon(kPageBytes);
-    EXPECT_TRUE(space_.isMapped(base));
-    EXPECT_TRUE(space_.isMapped(base + 4095));
-    EXPECT_FALSE(space_.isMapped(base + 8 * kPageBytes));
-}
-
 TEST_F(AddressSpaceTest, SeparateMappingsDoNotOverlap)
 {
     const Addr a = space_.mmapAnon(4 * kPageBytes);
     const Addr b = space_.mmapAnon(4 * kPageBytes);
     EXPECT_GE(b, a + 4 * kPageBytes);
-}
-
-TEST_F(AddressSpaceTest, MapSharedAliasesFrames)
-{
-    const Addr base = space_.mmapAnon(2 * kPageBytes);
-    const auto frames = space_.framesOf(base, 2 * kPageBytes);
-    ASSERT_EQ(frames.size(), 2u);
-
-    AddressSpace other(alloc_, 1);
-    const Addr shared = other.mapShared(frames);
-    EXPECT_EQ(other.translate(shared + 100), space_.translate(base + 100));
-    EXPECT_EQ(other.translate(shared + kPageBytes),
-              space_.translate(base + kPageBytes));
 }
 
 TEST_F(AddressSpaceTest, DifferentSpacesGetDifferentVaRanges)

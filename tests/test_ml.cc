@@ -1,16 +1,15 @@
 /**
  * @file
  * Tests for the machine-learning substrate: dataset handling and
- * scaling, binary metrics, kernel SVM on separable and non-linear
- * problems, and random-forest behaviour, with parameterised sweeps
- * over kernels.
+ * scaling, binary metrics and the kernel SVM on separable and
+ * non-linear problems, with parameterised sweeps over kernels.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "ml/forest.hh"
+#include "common/rng.hh"
 #include "ml/svm.hh"
 
 namespace llcf {
@@ -28,7 +27,6 @@ makeBlobs(std::size_t per_class, double separation, std::uint64_t seed)
         data.add({rng.nextGaussian() - separation,
                   rng.nextGaussian() - separation}, -1);
     }
-    data.shuffle(rng);
     return data;
 }
 
@@ -46,20 +44,16 @@ makeRings(std::size_t per_class, std::uint64_t seed)
         const double r2 = 3.0 + 0.1 * rng.nextGaussian();
         data.add({r2 * std::cos(a2), r2 * std::sin(a2)}, -1);
     }
-    data.shuffle(rng);
     return data;
 }
 
-TEST(Dataset, AddAndSplit)
+TEST(Dataset, AddCountsSamplesAndFeatures)
 {
     Dataset d;
     for (int i = 0; i < 10; ++i)
         d.add({static_cast<double>(i)}, i % 2 ? 1 : -1);
     EXPECT_EQ(d.size(), 10u);
     EXPECT_EQ(d.features(), 1u);
-    auto [train, val] = d.split(0.3);
-    EXPECT_EQ(train.size(), 7u);
-    EXPECT_EQ(val.size(), 3u);
 }
 
 TEST(Scaler, ZeroMeanUnitVariance)
@@ -114,8 +108,8 @@ class SvmKernelTest : public ::testing::TestWithParam<SvmKernel>
 
 TEST_P(SvmKernelTest, SeparableBlobsLearned)
 {
-    Dataset data = makeBlobs(80, 3.0, 11);
-    auto [train, val] = data.split(0.25);
+    const Dataset train = makeBlobs(60, 3.0, 11);
+    const Dataset val = makeBlobs(20, 3.0, 12);
     SvmParams params;
     params.kernel = GetParam();
     params.gamma = 0.5;
@@ -132,8 +126,8 @@ INSTANTIATE_TEST_SUITE_P(Kernels, SvmKernelTest,
 
 TEST(Svm, NonLinearRingsNeedNonLinearKernel)
 {
-    Dataset data = makeRings(120, 13);
-    auto [train, val] = data.split(0.25);
+    const Dataset train = makeRings(90, 13);
+    const Dataset val = makeRings(30, 14);
 
     SvmParams rbf;
     rbf.kernel = SvmKernel::Rbf;
@@ -159,79 +153,6 @@ TEST(Svm, DecisionValueSignMatchesPrediction)
         EXPECT_EQ(svm.predict(data.x[i]), dec >= 0.0 ? 1 : -1);
     }
     EXPECT_GT(svm.supportVectorCount(), 0u);
-}
-
-TEST(Forest, SeparableBlobsLearned)
-{
-    Dataset data = makeBlobs(100, 2.0, 19);
-    auto [train, val] = data.split(0.25);
-    RandomForest forest;
-    forest.fit(train);
-    EXPECT_GE(forest.evaluate(val).accuracy(), 0.95);
-    EXPECT_EQ(forest.treeCount(), ForestParams{}.trees);
-}
-
-TEST(Forest, LearnsNonLinearRings)
-{
-    Dataset data = makeRings(150, 23);
-    auto [train, val] = data.split(0.25);
-    RandomForest forest;
-    forest.fit(train);
-    EXPECT_GE(forest.evaluate(val).accuracy(), 0.95);
-}
-
-TEST(Forest, ProbabilitiesAreBoundedAndOrdered)
-{
-    Dataset data = makeBlobs(100, 3.0, 29);
-    RandomForest forest;
-    forest.fit(data);
-    const double p_pos = forest.predictProba({3.0, 3.0});
-    const double p_neg = forest.predictProba({-3.0, -3.0});
-    EXPECT_GE(p_pos, 0.0);
-    EXPECT_LE(p_pos, 1.0);
-    EXPECT_GT(p_pos, 0.8);
-    EXPECT_LT(p_neg, 0.2);
-}
-
-TEST(Forest, SingleTreeBehaves)
-{
-    Dataset data = makeBlobs(60, 3.0, 31);
-    ForestParams params;
-    params.trees = 1;
-    RandomForest forest(params);
-    forest.fit(data);
-    EXPECT_GE(forest.evaluate(data).accuracy(), 0.9);
-}
-
-TEST(Tree, PureNodeStopsSplitting)
-{
-    Dataset data;
-    for (int i = 0; i < 20; ++i)
-        data.add({static_cast<double>(i)}, +1); // all one class
-    DecisionTree tree;
-    std::vector<std::size_t> idx(data.size());
-    for (std::size_t i = 0; i < idx.size(); ++i)
-        idx[i] = i;
-    Rng rng(37);
-    tree.fit(data, idx, rng);
-    EXPECT_EQ(tree.nodeCount(), 1u);
-    EXPECT_EQ(tree.predict({5.0}), 1);
-}
-
-TEST(Tree, LearnsThreshold)
-{
-    Dataset data;
-    for (int i = 0; i < 50; ++i) {
-        data.add({static_cast<double>(i)}, i < 25 ? -1 : +1);
-    }
-    DecisionTree tree(TreeParams{4, 2, 1});
-    std::vector<std::size_t> idx(data.size());
-    for (std::size_t i = 0; i < idx.size(); ++i)
-        idx[i] = i;
-    Rng rng(41);
-    tree.fit(data, idx, rng);
-    EXPECT_EQ(tree.predict({10.0}), -1);
-    EXPECT_EQ(tree.predict({40.0}), +1);
 }
 
 } // namespace

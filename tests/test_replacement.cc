@@ -241,19 +241,5 @@ TEST(ReplPolicy, FactoryRoundTripsKind)
     }
 }
 
-TEST(ReplPolicy, ParseNamesRoundTrip)
-{
-    for (ReplKind kind : kAllReplKinds) {
-        ReplKind parsed;
-        ASSERT_TRUE(parseReplKind(replKindName(kind), parsed));
-        EXPECT_EQ(parsed, kind);
-    }
-    ReplKind out;
-    EXPECT_TRUE(parseReplKind("treeplru", out));
-    EXPECT_EQ(out, ReplKind::TreePLRU);
-    EXPECT_FALSE(parseReplKind("mru", out));
-    EXPECT_FALSE(parseReplKind("", out));
-}
-
 } // namespace
 } // namespace llcf

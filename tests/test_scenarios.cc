@@ -99,20 +99,9 @@ TEST(Registry, RejectsDuplicateNames)
     EXPECT_DEATH(reg.add(s), "duplicate scenario");
 }
 
-TEST(Registry, AxisNamesParseRoundTrip)
+TEST(Registry, NoiseNamesParse)
 {
-    // The registry's axes are addressable by their printed names —
-    // what a future per-axis CLI (and the --list output) relies on.
-    for (PruneAlgo algo : kAllPruneAlgos) {
-        PruneAlgo parsed;
-        ASSERT_TRUE(parsePruneAlgo(pruneAlgoName(algo), parsed));
-        EXPECT_EQ(parsed, algo);
-    }
-    PruneAlgo out;
-    EXPECT_TRUE(parsePruneAlgo("bins", out));
-    EXPECT_EQ(out, PruneAlgo::BinS);
-    EXPECT_FALSE(parsePruneAlgo("quicksort", out));
-
+    // Every cell's noise axis is addressable by its printed name.
     NoiseProfile p;
     for (const ScenarioSpec &s : builtinScenarios().all())
         EXPECT_TRUE(noiseProfileByName(s.noise, p)) << s.noise;

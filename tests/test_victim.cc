@@ -159,7 +159,8 @@ TEST_F(VictimTest, StreamsDriveSfActivity)
 
 TEST_F(VictimTest, ServeRequestsAreSequentialAndComplete)
 {
-    auto execs = victim_->serveRequests(machine_.now() + 100, 3);
+    std::vector<Victim::Execution> execs;
+    ASSERT_EQ(victim_->serveRequests(machine_.now() + 100, 3, &execs), 3u);
     ASSERT_EQ(execs.size(), 3u);
     for (std::size_t i = 0; i + 1 < execs.size(); ++i)
         EXPECT_GE(execs[i + 1].requestStart, execs[i].requestEnd);
@@ -171,7 +172,8 @@ TEST_F(VictimTest, ServeRequestsAreSequentialAndComplete)
 
 TEST_F(VictimTest, NoncesDifferAcrossRequests)
 {
-    auto execs = victim_->serveRequests(machine_.now(), 2);
+    std::vector<Victim::Execution> execs;
+    ASSERT_EQ(victim_->serveRequests(machine_.now(), 2, &execs), 2u);
     EXPECT_NE(execs[0].nonce, execs[1].nonce);
     EXPECT_NE(execs[0].bits, execs[1].bits);
 }
@@ -220,12 +222,12 @@ TEST_F(VictimTest, RequestQuotaExhaustsToEmpty)
     EcdsaLadderVictim v2(m2, limited);
     EXPECT_EQ(v2.remainingQuota(), 2u);
 
-    auto first = v2.serveRequests(m2.now(), 5);
-    EXPECT_EQ(first.size(), 2u); // clipped at the quota
+    EXPECT_EQ(v2.serveRequests(m2.now(), 5), 2u); // clipped at the quota
     EXPECT_EQ(v2.remainingQuota(), 0u);
 
-    auto second = v2.serveRequests(m2.now(), 1);
-    EXPECT_TRUE(second.empty()); // exhausted: no execution at all
+    // Exhausted: no request at all.
+    EXPECT_EQ(v2.serveRequests(m2.now(), 1), 0u);
+    EXPECT_FALSE(v2.serveRequest(m2.now()).has_value());
 
     // Unlimited victims never clip.
     EXPECT_EQ(victim_->remainingQuota(), ~0ULL);

@@ -7,8 +7,8 @@
  *
  *  - iterationStarts strictly monotone, sized bits.size() + 1;
  *  - targetAccesses consistent with the per-window ground-truth bits;
- *  - request quotas clip serveRequests to short (possibly empty)
- *    vectors instead of crashing;
+ *  - request quotas clip serveRequests to fewer (possibly no)
+ *    requests instead of crashing;
  *  - expectedAccessFrequencyHz within a band of the measured rate;
  *  - identical seeds produce byte-identical executions (the
  *    determinism contract the bench gates rely on);
@@ -16,6 +16,9 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <vector>
 
 #include "noise/profile.hh"
 #include "victim/aes_victim.hh"
@@ -38,6 +41,22 @@ silent()
  *  VictimFamily enum; the suite instantiates once per entry. */
 constexpr VictimFamily kAllFamilies[] = {VictimFamily::EcdsaLadder,
                                          VictimFamily::AesTable};
+
+/** Field-by-field equality of two requests' ground truth. */
+void
+expectSameExecution(const Victim::Execution &a, const Victim::Execution &b)
+{
+    EXPECT_EQ(a.requestStart, b.requestStart);
+    EXPECT_EQ(a.ladderStart, b.ladderStart);
+    EXPECT_EQ(a.ladderEnd, b.ladderEnd);
+    EXPECT_EQ(a.requestEnd, b.requestEnd);
+    EXPECT_EQ(a.iterationStarts, b.iterationStarts);
+    EXPECT_EQ(a.bits, b.bits);
+    EXPECT_EQ(a.targetAccesses, b.targetAccesses);
+    EXPECT_EQ(a.keyEpoch, b.keyEpoch);
+    EXPECT_EQ(a.plaintexts, b.plaintexts);
+    EXPECT_EQ(a.nonce, b.nonce);
+}
 
 class VictimConformance
     : public ::testing::TestWithParam<VictimFamily>
@@ -130,11 +149,10 @@ TEST_P(VictimConformance, QuotaClipsToShortVectors)
     limited.requestQuota = 2;
     auto v = freshVictim(813, limited);
     EXPECT_EQ(v->remainingQuota(), 2u);
-    const auto first = v->serveRequests(machines_.back()->now(), 5);
-    EXPECT_EQ(first.size(), 2u);
+    EXPECT_EQ(v->serveRequests(machines_.back()->now(), 5), 2u);
     EXPECT_EQ(v->remainingQuota(), 0u);
-    const auto second = v->serveRequests(machines_.back()->now(), 1);
-    EXPECT_TRUE(second.empty());
+    EXPECT_EQ(v->serveRequests(machines_.back()->now(), 1), 0u);
+    EXPECT_FALSE(v->serveRequest(machines_.back()->now()).has_value());
 }
 
 TEST_P(VictimConformance, AccessFrequencyWithinExpectedBand)
@@ -159,20 +177,74 @@ TEST_P(VictimConformance, IdenticalSeedsProduceIdenticalExecutions)
 {
     auto a = freshVictim(821, cfg_);
     auto b = freshVictim(821, cfg_);
-    const auto ea = a->serveRequests(1000, 2);
-    const auto eb = b->serveRequests(1000, 2);
+    std::vector<Victim::Execution> ea, eb;
+    a->serveRequests(1000, 2, &ea);
+    b->serveRequests(1000, 2, &eb);
+    ASSERT_EQ(ea.size(), 2u);
     ASSERT_EQ(ea.size(), eb.size());
-    for (std::size_t i = 0; i < ea.size(); ++i) {
-        EXPECT_EQ(ea[i].requestStart, eb[i].requestStart);
-        EXPECT_EQ(ea[i].ladderStart, eb[i].ladderStart);
-        EXPECT_EQ(ea[i].ladderEnd, eb[i].ladderEnd);
-        EXPECT_EQ(ea[i].requestEnd, eb[i].requestEnd);
-        EXPECT_EQ(ea[i].iterationStarts, eb[i].iterationStarts);
-        EXPECT_EQ(ea[i].bits, eb[i].bits);
-        EXPECT_EQ(ea[i].targetAccesses, eb[i].targetAccesses);
-        EXPECT_EQ(ea[i].keyEpoch, eb[i].keyEpoch);
-        EXPECT_EQ(ea[i].plaintexts, eb[i].plaintexts);
-        EXPECT_EQ(ea[i].nonce, eb[i].nonce);
+    for (std::size_t i = 0; i < ea.size(); ++i)
+        expectSameExecution(ea[i], eb[i]);
+}
+
+// Step 2 serves a batch of requests and keeps only their access
+// streams; Step 3 then serves one request for its ground truth.  That
+// must leave the same streams, generator states and Execution as
+// serving both batches with every ground truth kept, for closed-loop,
+// open-loop and quota-limited victims alike.
+TEST_P(VictimConformance, DroppedBatchThenOneRequestMatchesKeptPath)
+{
+    constexpr unsigned kBatch = 3;
+    VictimConfig closed = cfg_;
+    VictimConfig poisson = cfg_;
+    poisson.arrival.kind = ArrivalKind::Poisson;
+    poisson.arrival.ratePerSec = 500.0;
+    VictimConfig quota = cfg_;
+    quota.requestQuota = kBatch + 1; // the single request is the last
+    const Cycles t0 = 1000;
+    const Cycles t1 = msToCycles(40.0);
+    const Cycles t2 = msToCycles(80.0);
+    for (const VictimConfig &cfg : {closed, poisson, quota}) {
+        auto kept = freshVictim(839, cfg);
+        Machine &kept_m = *machines_.back();
+        auto lean = freshVictim(839, cfg);
+        Machine &lean_m = *machines_.back();
+
+        std::vector<Victim::Execution> batch, one;
+        EXPECT_EQ(kept->serveRequests(t0, kBatch, &batch), kBatch);
+        EXPECT_EQ(kept->serveRequests(t1, 1, &one), 1u);
+        EXPECT_EQ(lean->serveRequests(t0, kBatch), kBatch);
+        const std::optional<Victim::Execution> exec =
+            lean->serveRequest(t1);
+        ASSERT_TRUE(exec.has_value());
+        ASSERT_EQ(one.size(), 1u);
+        expectSameExecution(one[0], *exec);
+
+        const Machine::Snapshot ks = kept_m.snapshot();
+        const Machine::Snapshot ls = lean_m.snapshot();
+        ASSERT_EQ(ks.streams.size(), ls.streams.size());
+        for (std::size_t i = 0; i < ks.streams.size(); ++i) {
+            EXPECT_EQ(ks.streams[i].id, ls.streams[i].id);
+            EXPECT_EQ(ks.streams[i].core, ls.streams[i].core);
+            EXPECT_EQ(ks.streams[i].line, ls.streams[i].line);
+            EXPECT_EQ(ks.streams[i].times, ls.streams[i].times);
+            EXPECT_EQ(ks.streams[i].cursor, ls.streams[i].cursor);
+        }
+        EXPECT_TRUE(ks.rng == ls.rng);
+        EXPECT_EQ(kept->arrivalCount(), lean->arrivalCount());
+        EXPECT_EQ(kept->meanQueueDelayCycles(),
+                  lean->meanQueueDelayCycles());
+        EXPECT_EQ(kept->remainingQuota(), lean->remainingQuota());
+
+        // The victims' own generators: the next request agrees too
+        // (or both are out of quota).
+        std::vector<Victim::Execution> next;
+        kept->serveRequests(t2, 1, &next);
+        const std::optional<Victim::Execution> lean_next =
+            lean->serveRequest(t2);
+        ASSERT_EQ(next.size(), lean_next.has_value() ? 1u : 0u);
+        EXPECT_EQ(lean_next.has_value(), cfg.requestQuota == 0);
+        if (lean_next)
+            expectSameExecution(next[0], *lean_next);
     }
 }
 
@@ -192,8 +264,8 @@ TEST_P(VictimConformance, KeyRotationAdvancesEpochs)
     VictimConfig rot = cfg_;
     rot.rotateKeys = 2;
     auto v = freshVictim(827, rot);
-    const auto execs = v->serveRequests(1000, 5);
-    ASSERT_EQ(execs.size(), 5u);
+    std::vector<Victim::Execution> execs;
+    ASSERT_EQ(v->serveRequests(1000, 5, &execs), 5u);
     for (std::size_t i = 0; i < execs.size(); ++i)
         EXPECT_EQ(execs[i].keyEpoch, static_cast<unsigned>(i / 2))
             << "request " << i;
@@ -206,8 +278,8 @@ TEST_P(VictimConformance, OpenLoopArrivalsCountAndQueue)
     open.arrival.kind = ArrivalKind::Poisson;
     open.arrival.ratePerSec = 500.0;
     auto v = freshVictim(829, open);
-    const auto execs = v->serveRequests(1000, 4);
-    ASSERT_EQ(execs.size(), 4u);
+    std::vector<Victim::Execution> execs;
+    ASSERT_EQ(v->serveRequests(1000, 4, &execs), 4u);
     EXPECT_EQ(v->arrivalCount(), 4u);
     EXPECT_GE(v->meanQueueDelayCycles(), 0.0);
     // Requests never overlap even when arrivals queue behind service.
