@@ -92,7 +92,7 @@ EndToEndAttack::collectTraces(const BuiltEvictionSet &evset,
     // below the minimum iteration duration, so no spurious boundary
     // pair can form beyond the ladder.
     const Cycles tail_slack = kExtractMinIteration / 2;
-    const bool aes = victim_.family() == VictimFamily::AesTable;
+    const bool aes = victim_.config().family == VictimFamily::AesTable;
     AesNibbleRecovery nibbles(victim_.targetLineIndex());
     for (unsigned i = 0; i < params_.tracesPerVictim; ++i) {
         const std::optional<Victim::Execution> served =

@@ -165,6 +165,40 @@ ScannerTrainer::collect(const TraceClassifier &featurizer,
 
 // ------------------------------------------------------------ scanner
 
+namespace {
+
+/**
+ * UCB1 over candidate sets: unscanned sets first in index order, then
+ * the argmax of mean reward plus the exploration bonus, ties broken on
+ * the lowest index, so identical trials replay identically at any
+ * thread count.
+ */
+std::size_t
+ucbPick(const std::vector<double> &reward,
+        const std::vector<std::uint64_t> &pulls, std::uint64_t total)
+{
+    for (std::size_t i = 0; i < pulls.size(); ++i) {
+        if (pulls[i] == 0)
+            return i;
+    }
+    std::size_t pick = 0;
+    double best = -1.0;
+    const double logn =
+        std::log(static_cast<double>(std::max<std::uint64_t>(total, 2)));
+    for (std::size_t i = 0; i < pulls.size(); ++i) {
+        const double n = static_cast<double>(pulls[i]);
+        const double ucb =
+            reward[i] / n + kUcbExplore * std::sqrt(logn / n);
+        if (ucb > best) { // strict: ties keep the lowest index
+            best = ucb;
+            pick = i;
+        }
+    }
+    return pick;
+}
+
+} // namespace
+
 TargetSetScanner::TargetSetScanner(AttackSession &session,
                                    const TraceClassifier &classifier)
     : session_(session), classifier_(classifier)
@@ -174,92 +208,34 @@ TargetSetScanner::TargetSetScanner(AttackSession &session,
 ScanResult
 TargetSetScanner::scan(const std::vector<BuiltEvictionSet> &evsets)
 {
-    if (classifier_.params().adaptive)
-        return scanAdaptive(evsets);
     Machine &m = session_.machine();
     const auto &params = classifier_.params();
     ScanResult res;
     const Cycles start = m.now();
     const Cycles deadline = start + params.timeout;
 
+    // Default sweep: every set once per pass, each pass in a fresh
+    // random order.  Adaptive (ScannerParams::adaptive): a UCB bandit
+    // rewarding 1.0 for a classifier positive, 0.5 for in-band
+    // activity and 0 otherwise, so sets showing plausible traffic get
+    // revisited first and quiet sets decay to the exploration floor.
     std::vector<std::size_t> order(evsets.size());
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
-
-    while (m.now() < deadline && !res.found) {
-        session_.rng().shuffle(order);
-        for (std::size_t idx : order) {
-            if (m.now() >= deadline)
-                break;
-            auto monitor = PrimeProbeMonitor::make(
-                MonitorKind::Parallel, session_, evsets[idx].sfSet);
-            const Cycles t0 = m.now();
-            auto detections =
-                monitor->collectTrace(t0 + params.traceDuration);
-            ++res.setsScanned;
-            if (detections.size() < kScanMinAccesses ||
-                detections.size() > kScanMaxAccesses)
-                continue;
-            for (auto &d : detections)
-                d -= t0;
-            if (!classifier_.isTarget(classifier_.features(detections)))
-                continue;
-            res.found = true;
-            res.evsetIndex = idx;
-            break;
-        }
-    }
-    res.elapsed = m.now() - start;
-    return res;
-}
-
-ScanResult
-TargetSetScanner::scanAdaptive(
-    const std::vector<BuiltEvictionSet> &evsets)
-{
-    Machine &m = session_.machine();
-    const auto &params = classifier_.params();
-    ScanResult res;
-    const Cycles start = m.now();
-    const Cycles deadline = start + params.timeout;
-    if (evsets.empty()) {
-        res.elapsed = m.now() - start;
-        return res;
-    }
-
-    // UCB1 over candidate sets.  Reward: 1.0 for a classifier
-    // positive, 0.5 for in-band activity, 0 otherwise — sets showing
-    // plausible traffic get revisited first, quiet sets decay to the
-    // exploration floor.  Everything is deterministic: unscanned
-    // sets go first in index order and the argmax breaks ties on the
-    // lowest index, so identical trials replay identically at any
-    // thread count.
+    std::size_t next = 0;
     std::vector<double> reward(evsets.size(), 0.0);
     std::vector<std::uint64_t> pulls(evsets.size(), 0);
     std::uint64_t total = 0;
 
-    while (m.now() < deadline && !res.found) {
-        std::size_t pick = evsets.size();
-        for (std::size_t i = 0; i < evsets.size(); ++i) {
-            if (pulls[i] == 0) {
-                pick = i;
-                break;
-            }
-        }
-        if (pick == evsets.size()) {
-            double best = -1.0;
-            const double logn =
-                std::log(static_cast<double>(std::max<std::uint64_t>(
-                    total, 2)));
-            for (std::size_t i = 0; i < evsets.size(); ++i) {
-                const double n = static_cast<double>(pulls[i]);
-                const double ucb =
-                    reward[i] / n + kUcbExplore * std::sqrt(logn / n);
-                if (ucb > best) { // strict: ties keep the lowest index
-                    best = ucb;
-                    pick = i;
-                }
-            }
+    while (!evsets.empty() && m.now() < deadline && !res.found) {
+        std::size_t pick = 0;
+        if (params.adaptive) {
+            pick = ucbPick(reward, pulls, total);
+        } else {
+            if (next == 0)
+                session_.rng().shuffle(order);
+            pick = order[next];
+            next = (next + 1) % order.size();
         }
 
         auto monitor = PrimeProbeMonitor::make(

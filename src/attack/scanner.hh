@@ -138,9 +138,6 @@ class TargetSetScanner
     ScanResult scan(const std::vector<BuiltEvictionSet> &evsets);
 
   private:
-    /** UCB bandit sweep (ScannerParams::adaptive). */
-    ScanResult scanAdaptive(const std::vector<BuiltEvictionSet> &evsets);
-
     AttackSession &session_;
     const TraceClassifier &classifier_;
 };

@@ -370,11 +370,18 @@ makeBuiltins()
         reg.add(s);
     }
     {
+        // Eviction sets still build between re-keys, but every re-key
+        // dissolves their congruence before the scan classifies the
+        // target set: the attack dies at the scan (declared).
         ScenarioSpec s = defenseE2eBase(
             "defense-rekey-slow-tiny-e2e",
             "Keyed index hash re-keyed every 500 us of virtual time");
         s.defense.kind = DefenseKind::KeyedRekey;
         s.defense.rekeyIntervalMs = 0.5;
+        s.expect = {Ex::Series::OutcomeRate, "target_correct",
+                    Ex::Cmp::AtMost, 0.0,
+                    "re-keying every 500 us no longer stops the "
+                    "attack"};
         reg.add(s);
     }
     {
@@ -383,6 +390,9 @@ makeBuiltins()
             "Keyed index hash re-keyed every 50 us of virtual time");
         s.defense.kind = DefenseKind::KeyedRekey;
         s.defense.rekeyIntervalMs = 0.05;
+        s.expect = {Ex::Series::OutcomeRate, "target_correct",
+                    Ex::Cmp::AtMost, 0.0,
+                    "re-keying every 50 us no longer stops the attack"};
         reg.add(s);
     }
     {
@@ -408,14 +418,27 @@ makeBuiltins()
             "entries");
         s.defense.kind = DefenseKind::SfPart;
         s.defense.protectedWays = 2;
+        // The victim's SF entries live in protected ways, so its
+        // fetches never evict the attacker's primed lines and the
+        // probes see no victim activity: the attack dies (declared).
+        s.expect = {Ex::Series::OutcomeRate, "target_correct",
+                    Ex::Cmp::AtMost, 0.0,
+                    "the SF way partition no longer stops the attack"};
         reg.add(s);
     }
     {
+        // Priming the victim's sets spikes its misses, and each spike
+        // re-keys the index hash under the attacker's eviction sets
+        // (declared: the attack dies).
         ScenarioSpec s = defenseE2eBase(
             "defense-watchdog-tiny-e2e",
             "Self-eviction watchdog triggering re-keys when probed "
             "misses spike");
         s.defense.kind = DefenseKind::Watchdog;
+        s.expect = {Ex::Series::OutcomeRate, "target_correct",
+                    Ex::Cmp::AtMost, 0.0,
+                    "the self-eviction watchdog no longer stops the "
+                    "attack"};
         reg.add(s);
     }
     {
@@ -482,6 +505,8 @@ makeBuiltins()
         reg.add(s);
     }
     {
+        // A 50 us interval is far shorter than one Skylake-SP build
+        // window, so no build finishes on one key (declared).
         ScenarioSpec s = base(
             "defense-rekey-skl-build",
             "Fast re-keying vs eviction-set construction on "
@@ -490,6 +515,10 @@ makeBuiltins()
         s.defaultTrials = 3;
         s.defense.kind = DefenseKind::KeyedRekey;
         s.defense.rekeyIntervalMs = 0.05;
+        s.expect = {Ex::Series::OutcomeRate, "success", Ex::Cmp::AtMost,
+                    0.0,
+                    "re-keying every 50 us no longer kills eviction-set "
+                    "construction on Skylake-SP"};
         reg.add(s);
     }
     {
@@ -555,8 +584,14 @@ makeBuiltins()
         s.scanTimeoutSec = 0.3;
         s.defense.kind = DefenseKind::KeyedRekey;
         // Mild interval: several re-keys per victim attack, yet most
-        // training traces stay inside one key epoch.
+        // training traces stay inside one key epoch.  The scan never
+        // finds a target set before a re-key moves it, so no victim's
+        // key is recovered (declared).
         s.defense.rekeyIntervalMs = 2.0;
+        s.expect = {Ex::Series::OutcomeRate, "key_recovered",
+                    Ex::Cmp::AtMost, 0.0,
+                    "re-keying every 2 ms no longer stops fleet key "
+                    "recovery"};
         reg.add(s);
     }
 

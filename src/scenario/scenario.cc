@@ -534,8 +534,7 @@ maybeArmScenarioWatchdog(Machine &machine, const Victim &victim)
 {
     if (!machine.config().defense.watchdog.enabled)
         return;
-    machine.armWatchdog(victim.config().core,
-                        victimWorkingSet(victim));
+    machine.armWatchdog(kVictimCore, victimWorkingSet(victim));
 }
 
 std::unique_ptr<Victim>

@@ -81,23 +81,26 @@ ArrivalProcess::nextInterarrival()
     return std::max<Cycles>(1, static_cast<Cycles>(total));
 }
 
+constexpr unsigned kCoTenantCore = 3; //!< core the co-tenants run on
+constexpr unsigned kCoTenantLinesPerTenant = 4; //!< distinct hot lines
+constexpr unsigned kCoTenantAccessesPerArrival = 6; //!< touches/request
+static_assert(kCoTenantLinesPerTenant >= 1 &&
+                  kCoTenantLinesPerTenant <= kLinesPerPage,
+              "co-tenant hot lines must fit one page");
+static_assert(kCoTenantAccessesPerArrival > 0,
+              "co-tenant requests must touch their lines");
+
 CoTenantLoad::CoTenantLoad(Machine &machine, const CoTenantLoadConfig &cfg,
                            Cycles start, Cycles horizon)
     : space_(machine.newAddressSpace())
 {
     if (cfg.tenants == 0)
         fatal("co-tenant load needs at least one tenant");
-    if (cfg.linesPerTenant == 0 ||
-        cfg.linesPerTenant > kLinesPerPage)
-        fatal("co-tenant linesPerTenant %u outside [1, %u]",
-              cfg.linesPerTenant, kLinesPerPage);
-    if (cfg.accessesPerArrival == 0)
-        fatal("co-tenant accessesPerArrival must be positive");
     // Small hosts have fewer cores than the default placement; the
     // load is shared-cache pressure, so any core off the victim's
     // works — take the last one the machine actually has.
     const unsigned core =
-        std::min(cfg.core, machine.config().cores - 1);
+        std::min(kCoTenantCore, machine.config().cores - 1);
 
     for (unsigned t = 0; t < cfg.tenants; ++t) {
         // Positional sub-streams: arrivals and layout each get their
@@ -111,7 +114,7 @@ CoTenantLoad::CoTenantLoad(Machine &machine, const CoTenantLoadConfig &cfg,
         // spreads the tenant's hot lines across distinct sets.
         const unsigned base =
             static_cast<unsigned>(layout.nextBelow(kLinesPerPage));
-        std::vector<std::vector<Cycles>> times(cfg.linesPerTenant);
+        std::vector<std::vector<Cycles>> times(kCoTenantLinesPerTenant);
 
         Cycles now = start;
         const Cycles end = start + horizon;
@@ -120,16 +123,16 @@ CoTenantLoad::CoTenantLoad(Machine &machine, const CoTenantLoadConfig &cfg,
             now += arrivals.nextInterarrival();
             if (now >= end)
                 break;
-            for (unsigned k = 0; k < cfg.accessesPerArrival; ++k) {
+            for (unsigned k = 0; k < kCoTenantAccessesPerArrival; ++k) {
                 const unsigned slot =
                     static_cast<unsigned>((arrival_index + k) %
-                                          cfg.linesPerTenant);
+                                          kCoTenantLinesPerTenant);
                 times[slot].push_back(now + 37 * k);
             }
             ++arrival_index;
         }
 
-        for (unsigned j = 0; j < cfg.linesPerTenant; ++j) {
+        for (unsigned j = 0; j < kCoTenantLinesPerTenant; ++j) {
             if (times[j].empty())
                 continue;
             const unsigned line = (base + 17 * j) % kLinesPerPage;

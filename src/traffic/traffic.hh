@@ -87,9 +87,6 @@ class ArrivalProcess
 struct CoTenantLoadConfig
 {
     unsigned tenants = 0;           //!< emulated co-tenant services
-    unsigned core = 3;              //!< core the co-tenants run on
-    unsigned linesPerTenant = 4;    //!< distinct hot lines per tenant
-    unsigned accessesPerArrival = 6; //!< line touches per request
     ArrivalSpec arrival;            //!< per-tenant offered load shape
     std::uint64_t seed = 0;         //!< master seed; tenant t draws
                                     //!< from positional stream t

@@ -1,7 +1,6 @@
 #include "victim/aes_victim.hh"
 
 #include <algorithm>
-#include <utility>
 
 namespace llcf {
 
@@ -12,8 +11,7 @@ static_assert(kVictimDecoyLines <= 3,
               "sibling table)");
 
 AesTableVictim::AesTableVictim(Machine &machine, const VictimConfig &cfg)
-    : Victim(machine, cfg),
-      rng_(mix64(cfg.seed ^ 0xae51)),
+    : Victim(machine, cfg, 0xae51),
       keyRng_(mix64(cfg.seed ^ 0xae52))
 {
     rotateKey();
@@ -36,26 +34,10 @@ AesTableVictim::AesTableVictim(Machine &machine, const VictimConfig &cfg)
     }
 }
 
-VictimFamily
-AesTableVictim::family() const
-{
-    return VictimFamily::AesTable;
-}
-
 std::size_t
 AesTableVictim::expectedIterations() const
 {
     return kAesEncryptions;
-}
-
-double
-AesTableVictim::expectedAccessFrequencyHz() const
-{
-    // 144 traced lookups per encryption, 36 into the monitored
-    // table, uniform over its 16 lines: 2.25 touches per window.
-    const double per_window = 36.0 / 16.0;
-    return kCpuGhz * 1e9 * per_window /
-           static_cast<double>(cfg_.iterationCycles);
 }
 
 void
@@ -67,97 +49,47 @@ AesTableVictim::rotateKey()
     aes_.emplace(key);
 }
 
-Cycles
-AesTableVictim::closedLoopGap()
+std::size_t
+AesTableVictim::beginRequest(Execution &exec, Fetches &)
 {
-    return static_cast<Cycles>(
-        rng_.nextExponential(static_cast<double>(
-            cfg_.iterationCycles) * 20.0));
+    exec.plaintexts.reserve(kAesEncryptions);
+    return kAesEncryptions;
 }
 
-Victim::Execution
-AesTableVictim::generateExecution(Cycles request_start)
+void
+AesTableVictim::iterate(std::size_t, Cycles start, double dur,
+                        Execution &exec, Fetches &fetches)
 {
-    Execution exec;
-    exec.requestStart = request_start;
+    Aes128::Block pt;
+    for (auto &b : pt)
+        b = static_cast<std::uint8_t>(rng_.nextBelow(256));
+    exec.plaintexts.push_back(pt);
 
-    const std::size_t windows = kAesEncryptions;
-    const double loop_time = static_cast<double>(windows) *
-                             static_cast<double>(cfg_.iterationCycles);
-    const double other_time =
-        loop_time * (1.0 - cfg_.dutyCycle) / cfg_.dutyCycle;
-    const Cycles pre = static_cast<Cycles>(other_time * 0.4);
-    exec.ladderStart = request_start + pre;
+    lookups_.clear();
+    aes_->encryptTrace(pt, lookups_);
 
-    exec.iterationStarts.reserve(windows + 1);
-    exec.plaintexts.reserve(windows);
-    std::vector<Cycles> target_times;
-    std::vector<std::vector<Cycles>> decoy_times(decoyPas_.size());
-    std::vector<Aes128::TableLookup> lookups;
-
-    double t = static_cast<double>(exec.ladderStart);
-    for (std::size_t i = 0; i < windows; ++i) {
-        const Cycles start = static_cast<Cycles>(t);
-        exec.iterationStarts.push_back(start);
-        double dur = static_cast<double>(cfg_.iterationCycles);
-        if (cfg_.iterationJitter > 0.0) {
-            dur *= std::max(0.5, 1.0 + cfg_.iterationJitter *
-                                 rng_.nextGaussian());
+    // Nine rounds of 16 lookups, spread across the window in round
+    // order — pure data flow, no host randomness.
+    bool touched = false;
+    for (std::size_t n = 0; n < lookups_.size(); ++n) {
+        const unsigned round = static_cast<unsigned>(n / 16);
+        const unsigned slot = static_cast<unsigned>(n % 16);
+        const unsigned line =
+            lookups_[n].table * 16u + (lookups_[n].index >> 4);
+        const Cycles when =
+            start + static_cast<Cycles>(dur * (0.05 + 0.09 * round)) +
+            11 * slot;
+        if (line == cfg_.targetLineIndex) {
+            fetches.target.push_back(when);
+            touched = true;
+            continue;
         }
-
-        Aes128::Block pt;
-        for (auto &b : pt)
-            b = static_cast<std::uint8_t>(rng_.nextBelow(256));
-        exec.plaintexts.push_back(pt);
-
-        lookups.clear();
-        aes_->encryptTrace(pt, lookups);
-
-        // Nine rounds of 16 lookups, spread across the window in
-        // round order — pure data flow, no host randomness.
-        bool touched = false;
-        for (std::size_t n = 0; n < lookups.size(); ++n) {
-            const unsigned round = static_cast<unsigned>(n / 16);
-            const unsigned slot = static_cast<unsigned>(n % 16);
-            const unsigned line =
-                lookups[n].table * 16u + (lookups[n].index >> 4);
-            const Cycles when =
-                start +
-                static_cast<Cycles>(dur * (0.05 + 0.09 * round)) +
-                11 * slot;
-            if (line == cfg_.targetLineIndex) {
-                target_times.push_back(when);
-                touched = true;
-                continue;
-            }
-            for (std::size_t d = 0; d < decoyPas_.size(); ++d) {
-                const unsigned didx =
-                    ((monitoredTable() + 1 +
-                      static_cast<unsigned>(d)) % 4) * 16 +
-                    monitoredLine();
-                if (line == didx) {
-                    decoy_times[d].push_back(when);
-                    break;
-                }
-            }
-        }
-        exec.bits.push_back(touched ? 1 : 0);
-        t += dur;
+        const auto decoy =
+            std::find(decoyPas_.begin(), decoyPas_.end(), linePas_[line]);
+        if (decoy != decoyPas_.end())
+            fetches.decoys[decoy - decoyPas_.begin()].push_back(when);
     }
-    exec.ladderEnd = static_cast<Cycles>(t);
-    exec.iterationStarts.push_back(exec.ladderEnd);
-    exec.requestEnd = exec.ladderEnd +
-        static_cast<Cycles>(other_time * 0.6);
-    exec.targetAccesses = target_times;
-
-    machine_.addStream(cfg_.core, targetPa_, std::move(target_times));
-    for (std::size_t d = 0; d < decoyPas_.size(); ++d) {
-        if (!decoy_times[d].empty()) {
-            machine_.addStream(cfg_.core, decoyPas_[d],
-                               std::move(decoy_times[d]));
-        }
-    }
-    return exec;
+    exec.bits.push_back(touched ? 1 : 0);
 }
 
 } // namespace llcf

@@ -37,16 +37,8 @@ class AesTableVictim final : public Victim
   public:
     AesTableVictim(Machine &machine, const VictimConfig &cfg);
 
-    VictimFamily family() const override;
-
     /** One request runs kAesEncryptions encryption windows. */
     std::size_t expectedIterations() const override;
-
-    /**
-     * The monitored line receives 36/16 = 2.25 of each window's
-     * traced lookups on average.
-     */
-    double expectedAccessFrequencyHz() const override;
 
     /** The current AES key (experimenter-side ground truth). */
     const Aes128::Block &keyBytes() const { return aes_->key(); }
@@ -58,15 +50,19 @@ class AesTableVictim final : public Victim
     unsigned monitoredLine() const { return cfg_.targetLineIndex % 16; }
 
   protected:
-    Execution generateExecution(Cycles request_start) override;
     void rotateKey() override;
-    Cycles closedLoopGap() override;
+    std::size_t beginRequest(Execution &exec, Fetches &fetches) override;
+    /** Draws the window's plaintext from rng_ and replays its
+        encryption's T-table lookups. */
+    void iterate(std::size_t i, Cycles start, double dur,
+                 Execution &exec, Fetches &fetches) override;
 
   private:
-    Rng rng_;    //!< window jitter + plaintext stream
     Rng keyRng_; //!< key material stream (rotation epochs)
     std::optional<Aes128> aes_;
     std::array<Addr, kLinesPerPage> linePas_{};
+    /** Scratch buffer of one encryption's lookups. */
+    std::vector<Aes128::TableLookup> lookups_;
 };
 
 } // namespace llcf

@@ -38,24 +38,17 @@ victimFamilyName(VictimFamily family)
     return "?";
 }
 
-Victim::Victim(Machine &machine, const VictimConfig &cfg)
+Victim::Victim(Machine &machine, const VictimConfig &cfg,
+               std::uint64_t timing_salt)
     : machine_(machine),
       cfg_(cfg),
-      space_(machine.newAddressSpace())
+      space_(machine.newAddressSpace()),
+      rng_(mix64(cfg.seed ^ timing_salt))
 {
-    if (cfg_.core >= machine.config().cores)
-        fatal("victim core %u out of range", cfg_.core);
+    if (kVictimCore >= machine.config().cores)
+        fatal("victim core %u out of range", kVictimCore);
     if (cfg_.targetLineIndex >= kLinesPerPage)
         fatal("target line index %u out of range", cfg_.targetLineIndex);
-    // dutyCycle divides expectedRequestCycles and the think-time
-    // model; anything outside (0, 1] (or NaN) poisons every derived
-    // duration, so reject it here instead of emitting nonsense.
-    if (!(cfg_.dutyCycle > 0.0) || cfg_.dutyCycle > 1.0) {
-        // detlint: allow(float-format) -- fatal diagnostic only
-        fatal("victim dutyCycle %.3f outside (0, 1]", cfg_.dutyCycle);
-    }
-    if (cfg_.iterationCycles == 0)
-        fatal("victim iterationCycles must be positive");
     if (!(cfg_.iterationJitter >= 0.0) ||
         cfg_.iterationJitter >= 1.0) {
         // detlint: allow(float-format) -- fatal diagnostic only
@@ -76,8 +69,8 @@ Cycles
 Victim::expectedRequestCycles(std::size_t iterations) const
 {
     const double ladder = static_cast<double>(iterations) *
-                          static_cast<double>(cfg_.iterationCycles);
-    return static_cast<Cycles>(ladder / cfg_.dutyCycle);
+                          static_cast<double>(kVictimIterationCycles);
+    return static_cast<Cycles>(ladder / kVictimDutyCycle);
 }
 
 Victim::Execution
@@ -88,8 +81,49 @@ Victim::triggerRequest(Cycles request_start)
         ++keyEpoch_;
         requestsThisEpoch_ = 0;
     }
-    Execution exec = generateExecution(request_start);
+    Execution exec;
+    exec.requestStart = request_start;
     exec.keyEpoch = keyEpoch_;
+    Fetches fetches;
+    fetches.decoys.resize(decoyPas_.size());
+    const std::size_t iters = beginRequest(exec, fetches);
+
+    // Request timeline: pre-processing, loop, post-processing.
+    const double loop_time = static_cast<double>(iters) *
+                             static_cast<double>(kVictimIterationCycles);
+    const double other_time =
+        loop_time * (1.0 - kVictimDutyCycle) / kVictimDutyCycle;
+    exec.ladderStart = request_start +
+                       static_cast<Cycles>(other_time * 0.4);
+
+    // Iteration boundaries with jitter.
+    exec.iterationStarts.reserve(iters + 1);
+    double t = static_cast<double>(exec.ladderStart);
+    for (std::size_t i = 0; i < iters; ++i) {
+        const Cycles start = static_cast<Cycles>(t);
+        exec.iterationStarts.push_back(start);
+        double dur = static_cast<double>(kVictimIterationCycles);
+        if (cfg_.iterationJitter > 0.0) {
+            dur *= std::max(0.5, 1.0 + cfg_.iterationJitter *
+                                 rng_.nextGaussian());
+        }
+        iterate(i, start, dur, exec, fetches);
+        t += dur;
+    }
+    exec.ladderEnd = static_cast<Cycles>(t);
+    exec.iterationStarts.push_back(exec.ladderEnd);
+    endLoop(exec.ladderEnd, fetches);
+    exec.requestEnd = exec.ladderEnd +
+        static_cast<Cycles>(other_time * 0.6);
+    exec.targetAccesses = fetches.target;
+
+    machine_.addStream(kVictimCore, targetPa_, std::move(fetches.target));
+    for (std::size_t d = 0; d < decoyPas_.size(); ++d) {
+        if (!fetches.decoys[d].empty()) {
+            machine_.addStream(kVictimCore, decoyPas_[d],
+                               std::move(fetches.decoys[d]));
+        }
+    }
     ++requestCounter_;
     ++requestsThisEpoch_;
     return exec;
@@ -118,8 +152,9 @@ Victim::serveNext(Cycles first_start, Cycles &start)
     lastRequestEnd_ = exec.requestEnd;
     if (!arrivals_) {
         // Small think time between requests.
-        const Cycles gap = closedLoopGap();
-        start = exec.requestEnd + gap;
+        start = exec.requestEnd +
+                static_cast<Cycles>(rng_.nextExponential(
+                    static_cast<double>(kVictimIterationCycles) * 20.0));
     }
     return exec;
 }
@@ -148,11 +183,13 @@ Victim::serveRequest(Cycles start)
 
 // ------------------------------------------------- EcdsaLadderVictim
 
+static_assert(kVictimDecoyLines > 0,
+              "the ECDSA victim derives its decoys from the first");
+
 EcdsaLadderVictim::EcdsaLadderVictim(Machine &machine,
                                      const VictimConfig &cfg)
-    : Victim(machine, cfg),
+    : Victim(machine, cfg, 0x71c7),
       secretRng_(mix64(cfg.seed ^ 0xec2a)),
-      rng_(mix64(cfg.seed ^ 0x71c7)),
       d_(drawScalar(secretRng_))
 {
     // The victim "library" is mapped once at container start and keeps
@@ -170,26 +207,10 @@ EcdsaLadderVictim::EcdsaLadderVictim(Machine &machine,
     }
 }
 
-VictimFamily
-EcdsaLadderVictim::family() const
-{
-    return VictimFamily::EcdsaLadder;
-}
-
 std::size_t
 EcdsaLadderVictim::expectedIterations() const
 {
     return 570;
-}
-
-double
-EcdsaLadderVictim::expectedAccessFrequencyHz() const
-{
-    // One access per half iteration on average (boundary access every
-    // iteration plus a midpoint access for about half the bits).
-    const double half_iter = static_cast<double>(cfg_.iterationCycles)
-                             / 2.0;
-    return kCpuGhz * 1e9 / half_iter;
 }
 
 void
@@ -198,20 +219,9 @@ EcdsaLadderVictim::rotateKey()
     d_ = drawScalar(secretRng_);
 }
 
-Cycles
-EcdsaLadderVictim::closedLoopGap()
+std::size_t
+EcdsaLadderVictim::beginRequest(Execution &exec, Fetches &fetches)
 {
-    return static_cast<Cycles>(
-        rng_.nextExponential(static_cast<double>(
-            cfg_.iterationCycles) * 20.0));
-}
-
-Victim::Execution
-EcdsaLadderVictim::generateExecution(Cycles request_start)
-{
-    Execution exec;
-    exec.requestStart = request_start;
-
     // The nonce's bits below its top bit, most significant first:
     // the sequence the ladder's `if (bit)` branch walks.
     exec.nonce = drawScalar(secretRng_);
@@ -220,69 +230,51 @@ EcdsaLadderVictim::generateExecution(Cycles request_start)
     for (unsigned i = top; i-- > 0;)
         exec.bits.push_back(exec.nonce.bit(i) ? 1 : 0);
 
-    // Request timeline: pre-processing, ladder, post-processing.
-    const std::size_t iters = exec.bits.size();
-    const double ladder_time = static_cast<double>(iters) *
-                               static_cast<double>(cfg_.iterationCycles);
-    const double other_time =
-        ladder_time * (1.0 - cfg_.dutyCycle) / cfg_.dutyCycle;
-    const Cycles pre = static_cast<Cycles>(other_time * 0.4);
-    exec.ladderStart = request_start + pre;
-
-    // Iteration boundaries with jitter.
-    exec.iterationStarts.reserve(iters + 1);
     // Sized exactly (a boundary fetch per iteration plus the closing
     // one, a midpoint fetch per 0 bit, two decoy fetches per
     // iteration): doubling growth would churn about 50 KB of heap per
     // request and fragment the heap of long campaigns.
+    const std::size_t iters = exec.bits.size();
     const auto zeros = static_cast<std::size_t>(
         std::count(exec.bits.begin(), exec.bits.end(), 0));
-    std::vector<Cycles> target_times;
-    target_times.reserve(iters + zeros + 1);
-    std::vector<Cycles> decoy_times;
-    decoy_times.reserve(2 * iters);
-    double t = static_cast<double>(exec.ladderStart);
-    for (std::size_t i = 0; i < iters; ++i) {
-        const Cycles start = static_cast<Cycles>(t);
-        exec.iterationStarts.push_back(start);
-        double dur = static_cast<double>(cfg_.iterationCycles);
-        if (cfg_.iterationJitter > 0.0) {
-            dur *= std::max(0.5, 1.0 + cfg_.iterationJitter *
-                                 rng_.nextGaussian());
-        }
-        // Boundary fetch of the target line (the `if (bit)` clock).
-        target_times.push_back(start);
-        // Midpoint fetch when the monitored branch direction (bit 0)
-        // is taken.
-        if (exec.bits[i] == 0)
-            target_times.push_back(start + static_cast<Cycles>(dur / 2));
-        // Decoy fetches: function bodies run every iteration.
-        decoy_times.push_back(start + static_cast<Cycles>(dur * 0.25));
-        decoy_times.push_back(start + static_cast<Cycles>(dur * 0.75));
-        t += dur;
-    }
-    exec.ladderEnd = static_cast<Cycles>(t);
-    exec.iterationStarts.push_back(exec.ladderEnd);
+    fetches.target.reserve(iters + zeros + 1);
+    fetches.decoys[0].reserve(2 * iters);
+    return iters;
+}
+
+void
+EcdsaLadderVictim::iterate(std::size_t i, Cycles start, double dur,
+                           Execution &exec, Fetches &fetches)
+{
+    // Boundary fetch of the target line (the `if (bit)` clock).
+    fetches.target.push_back(start);
+    // Midpoint fetch when the monitored branch direction (bit 0) is
+    // taken.
+    if (exec.bits[i] == 0)
+        fetches.target.push_back(start + static_cast<Cycles>(dur / 2));
+    // Decoy fetches: function bodies run every iteration.  Decoy d
+    // is staggered by 137 * (d + 1) cycles so their phases differ;
+    // endLoop() derives the others from the first.
+    fetches.decoys[0].push_back(start + static_cast<Cycles>(dur * 0.25) +
+                                137);
+    fetches.decoys[0].push_back(start + static_cast<Cycles>(dur * 0.75) +
+                                137);
+}
+
+void
+EcdsaLadderVictim::endLoop(Cycles ladder_end, Fetches &fetches)
+{
     // Closing boundary fetch: the loop-header line is touched once
-    // more when the ladder exits, matching the ground truth above
+    // more when the ladder exits, matching the ground truth
     // (iterationStarts includes ladderEnd).  Without it the final
     // iteration has no closing boundary and its bit is unrecoverable
     // by construction.
-    target_times.push_back(exec.ladderEnd);
-    exec.requestEnd = exec.ladderEnd +
-        static_cast<Cycles>(other_time * 0.6);
-    exec.targetAccesses = target_times;
-
-    // Register the access streams with the machine.
-    machine_.addStream(cfg_.core, targetPa_, std::move(target_times));
-    for (std::size_t d = 0; d < decoyPas_.size(); ++d) {
-        // Stagger decoys so their phases differ.
-        std::vector<Cycles> times = decoy_times;
-        for (auto &time : times)
-            time += static_cast<Cycles>(137 * (d + 1));
-        machine_.addStream(cfg_.core, decoyPas_[d], std::move(times));
+    fetches.target.push_back(ladder_end);
+    for (std::size_t d = 1; d < fetches.decoys.size(); ++d) {
+        fetches.decoys[d] = fetches.decoys[0];
+        for (auto &time : fetches.decoys[d])
+            time += static_cast<Cycles>(137 * d);
     }
-    return exec;
 }
 
 std::unique_ptr<Victim>

@@ -29,10 +29,10 @@
  *    cache-line granularity, so the attacker recovers upper key-byte
  *    nibbles instead of nonce bits.
  *
- * Both families honour the same request-loop contract: closed-loop
- * think-time gaps by default, open-loop arrivals when
- * VictimConfig::arrival is active, and mid-campaign key rotation
- * every VictimConfig::rotateKeys requests.
+ * The base class runs one request timeline for every family (key
+ * rotation, jittered loop, think time or open-loop arrivals, ground
+ * truth, stream registration); a family supplies its page layout, its
+ * secret draws and the fetches one loop iteration makes.
  */
 
 #ifndef LLCF_VICTIM_VICTIM_HH
@@ -66,23 +66,28 @@ constexpr unsigned kVictimDecoyLines = 3;
 /** AES family: encryptions per request (leakage windows). */
 constexpr unsigned kAesEncryptions = 48;
 
+/** Physical core the victim runs on. */
+constexpr unsigned kVictimCore = 2;
+
+/** Loop-iteration duration (paper: ~9,700 cycles at 2 GHz).  For the
+    AES family: one encryption window. */
+constexpr Cycles kVictimIterationCycles = 9700;
+
+/** Fraction of a request spent in the vulnerable loop. */
+constexpr double kVictimDutyCycle = 0.25;
+
+static_assert(kVictimIterationCycles > 0, "iterations must take time");
+static_assert(kVictimDutyCycle > 0.0 && kVictimDutyCycle <= 1.0,
+              "a duty cycle outside (0, 1] poisons every duration");
+
 /** Victim service parameters. */
 struct VictimConfig
 {
     /** Which service family to run (see VictimFamily). */
     VictimFamily family = VictimFamily::EcdsaLadder;
 
-    unsigned core = 2;         //!< physical core the victim runs on
-
-    /** Ladder-iteration duration (paper: ~9,700 cycles at 2 GHz).
-        For the AES family: one encryption window. */
-    Cycles iterationCycles = 9700;
-
     /** Per-iteration duration jitter (fraction). */
     double iterationJitter = 0.02;
-
-    /** Fraction of a request spent in the vulnerable loop. */
-    double dutyCycle = 0.25;
 
     /** Page-line index of the target line inside the victim binary. */
     unsigned targetLineIndex = 21;
@@ -115,10 +120,9 @@ struct VictimConfig
 };
 
 /**
- * A victim service instance on a simulated machine: the family
- * interface.  Concrete families implement generateExecution() (one
- * request's access streams + ground truth), key rotation, and the
- * spectral self-description the scanner trains against.
+ * A victim service instance on a simulated machine.  Concrete
+ * families lay out their pages in their constructor and implement
+ * the protected hooks the base class's request timeline calls.
  */
 class Victim
 {
@@ -153,9 +157,6 @@ class Victim
 
     const VictimConfig &config() const { return cfg_; }
 
-    /** The concrete family (dispatch for family-specific scoring). */
-    virtual VictimFamily family() const = 0;
-
     /** Physical address of the monitored cache line. */
     Addr targetLinePa() const { return targetPa_; }
 
@@ -176,7 +177,7 @@ class Victim
     /**
      * Serve up to @p count requests starting at @p first_start.
      * Closed loop (no arrival spec): back-to-back with think-time
-     * gaps so the leaky loop occupies ~dutyCycle of wall time.
+     * gaps so the leaky loop occupies ~kVictimDutyCycle of wall time.
      * Open loop: requests are timed by the arrival process and queue
      * behind the previous request when they arrive early.  Stops
      * once the request quota (if any) is exhausted.  Only the access
@@ -209,17 +210,11 @@ class Victim
     /** Current key epoch (increments every cfg.rotateKeys requests). */
     unsigned keyEpoch() const { return keyEpoch_; }
 
-    /** Duration of one full request (loop time / dutyCycle) estimate. */
+    /** Duration of one full request (loop time / kVictimDutyCycle). */
     Cycles expectedRequestCycles(std::size_t iterations) const;
 
     /** Typical leakage-loop iterations per request (request sizing). */
     virtual std::size_t expectedIterations() const = 0;
-
-    /**
-     * Expected frequency (Hz) of target-line accesses while the
-     * leaky loop runs — where the scanner expects the PSD peak.
-     */
-    virtual double expectedAccessFrequencyHz() const = 0;
 
     /** Open-loop arrivals served so far (0 in closed loop). */
     std::uint64_t arrivalCount() const { return arrivalCount_; }
@@ -234,18 +229,36 @@ class Victim
     }
 
   protected:
-    /** Validates @p cfg (fatal on nonsense) and maps nothing yet:
-        concrete families lay out their own code/table pages. */
-    Victim(Machine &machine, const VictimConfig &cfg);
+    /** One request's fetch times: the target line's, and one list
+        per decoy line in decoyPas() order. */
+    struct Fetches
+    {
+        std::vector<Cycles> target;
+        std::vector<std::vector<Cycles>> decoys;
+    };
 
-    /** One request's streams + ground truth (epoch set by caller). */
-    virtual Execution generateExecution(Cycles request_start) = 0;
+    /** Validates @p cfg (fatal on nonsense) and seeds rng_ from
+        cfg.seed and @p timing_salt; maps nothing: concrete families
+        lay out their own code/table pages. */
+    Victim(Machine &machine, const VictimConfig &cfg,
+           std::uint64_t timing_salt);
 
     /** Install a fresh secret at an epoch boundary. */
     virtual void rotateKey() = 0;
 
-    /** Closed-loop think time drawn from the family's own stream. */
-    virtual Cycles closedLoopGap() = 0;
+    /** Draw the request's secrets into @p exec (optionally reserving
+        @p fetches); returns the number of loop iterations. */
+    virtual std::size_t beginRequest(Execution &exec,
+                                     Fetches &fetches) = 0;
+
+    /** Iteration @p i runs @p dur cycles from @p start (its jitter
+        already drawn): append its fetches, and its bit if not drawn
+        up front. */
+    virtual void iterate(std::size_t i, Cycles start, double dur,
+                         Execution &exec, Fetches &fetches) = 0;
+
+    /** Completes @p fetches as the loop exits at @p ladder_end. */
+    virtual void endLoop(Cycles /*ladder_end*/, Fetches & /*fetches*/) {}
 
     Machine &machine_;
     VictimConfig cfg_;
@@ -253,6 +266,9 @@ class Victim
     Addr targetPa_ = 0;
     std::vector<Addr> decoyPas_;
     std::uint64_t requestCounter_ = 0;
+    /** Timing draws (iteration jitter, think time), then whatever
+        draws a family's iterate() makes. */
+    Rng rng_;
 
   private:
     /**
@@ -281,8 +297,6 @@ class EcdsaLadderVictim final : public Victim
   public:
     EcdsaLadderVictim(Machine &machine, const VictimConfig &cfg);
 
-    VictimFamily family() const override;
-
     /** The current private scalar d (experimenter-side ground
         truth). */
     const BigUint &privateKey() const { return d_; }
@@ -290,22 +304,16 @@ class EcdsaLadderVictim final : public Victim
     /** sect571r1 ladders run ~570 iterations. */
     std::size_t expectedIterations() const override;
 
-    /**
-     * One access per half iteration on average — the paper's PSD
-     * peak location (~0.41 MHz at default timing).
-     */
-    double expectedAccessFrequencyHz() const override;
-
   protected:
-    Execution generateExecution(Cycles request_start) override;
     void rotateKey() override;
-    Cycles closedLoopGap() override;
+    std::size_t beginRequest(Execution &exec, Fetches &fetches) override;
+    void iterate(std::size_t i, Cycles start, double dur,
+                 Execution &exec, Fetches &fetches) override;
+    void endLoop(Cycles ladder_end, Fetches &fetches) override;
 
   private:
     /** Key and nonce draws: the reference signer's stream. */
     Rng secretRng_;
-    /** Timing draws: iteration jitter and think time. */
-    Rng rng_;
     BigUint d_;
 };
 

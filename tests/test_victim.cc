@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <string>
 
 #include "crypto/ecdsa.hh"
@@ -122,7 +121,7 @@ TEST_F(VictimTest, IterationDurationMatchesConfig)
     for (std::size_t i = 0; i + 1 < exec.iterationStarts.size(); ++i) {
         const Cycles d = exec.iterationStarts[i + 1] -
                          exec.iterationStarts[i];
-        EXPECT_EQ(d, cfg_.iterationCycles);
+        EXPECT_EQ(d, kVictimIterationCycles);
     }
 }
 
@@ -133,17 +132,7 @@ TEST_F(VictimTest, DutyCycleShapesRequestWindow)
                                               exec.ladderStart);
     const double request = static_cast<double>(exec.requestEnd -
                                                exec.requestStart);
-    EXPECT_NEAR(ladder / request, cfg_.dutyCycle, 0.03);
-}
-
-TEST_F(VictimTest, ExpectedFrequencyMatchesPaper)
-{
-    // One access per half iteration: 2 GHz / 4850 ~ 0.41 MHz.
-    VictimConfig paper;
-    paper.iterationCycles = 9700;
-    Machine m2(tinyTest(), silent(), 85);
-    EcdsaLadderVictim v2(m2, paper);
-    EXPECT_NEAR(v2.expectedAccessFrequencyHz(), 0.41e6, 0.02e6);
+    EXPECT_NEAR(ladder / request, kVictimDutyCycle, 0.03);
 }
 
 TEST_F(VictimTest, StreamsDriveSfActivity)
@@ -178,37 +167,19 @@ TEST_F(VictimTest, NoncesDifferAcrossRequests)
     EXPECT_NE(execs[0].bits, execs[1].bits);
 }
 
-TEST(VictimConfigDeathTest, RejectsOutOfRangeDutyCycle)
-{
-    // A dutyCycle outside (0, 1] used to slip through construction
-    // and poison every derived duration (division by <= 0 yields inf
-    // or negative request windows); the constructor now rejects it.
-    Machine m(tinyTest(), silent(), 91);
-    VictimConfig bad;
-    bad.dutyCycle = 0.0;
-    EXPECT_DEATH(EcdsaLadderVictim(m, bad), "dutyCycle");
-    bad.dutyCycle = -0.25;
-    EXPECT_DEATH(EcdsaLadderVictim(m, bad), "dutyCycle");
-    bad.dutyCycle = 1.5;
-    EXPECT_DEATH(EcdsaLadderVictim(m, bad), "dutyCycle");
-    bad.dutyCycle = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_DEATH(EcdsaLadderVictim(m, bad), "dutyCycle");
-}
-
 TEST(VictimConfigDeathTest, RejectsDegenerateTimingFields)
 {
     Machine m(tinyTest(), silent(), 93);
     VictimConfig bad;
-    bad.iterationCycles = 0;
-    EXPECT_DEATH(EcdsaLadderVictim(m, bad), "iterationCycles");
-    bad = VictimConfig{};
     bad.iterationJitter = 1.0;
     EXPECT_DEATH(EcdsaLadderVictim(m, bad), "iterationJitter");
     bad.iterationJitter = -0.1;
     EXPECT_DEATH(EcdsaLadderVictim(m, bad), "iterationJitter");
-    bad = VictimConfig{};
-    bad.core = 255;
-    EXPECT_DEATH(EcdsaLadderVictim(m, bad), "core");
+    // A host without the victim's core.
+    MachineConfig two_cores = tinyTest();
+    two_cores.cores = kVictimCore;
+    Machine small(two_cores, silent(), 93);
+    EXPECT_DEATH(EcdsaLadderVictim(small, VictimConfig{}), "core");
     bad = VictimConfig{};
     bad.targetLineIndex = kLinesPerPage;
     EXPECT_DEATH(EcdsaLadderVictim(m, bad), "line index");
