@@ -12,7 +12,7 @@ CacheArray::metaWordsFor(const CacheGeometry &geom, ReplKind repl)
     const std::size_t repl_bytes = withReplOps(repl, [&](auto ops) {
         return ops.stateBytes(geom.ways);
     });
-    const std::size_t meta_bytes = 2 * geom.ways + 1 + repl_bytes;
+    const std::size_t meta_bytes = 2 * geom.ways + repl_bytes;
     return (meta_bytes + 7) / 8;
 }
 
@@ -69,10 +69,12 @@ CacheArray::CacheArray(const CacheGeometry &geom, ReplKind repl,
 void
 CacheArray::initPlanes()
 {
-    replBytesPerSet_ = withReplOps(kind_, [&](auto ops) {
-        return ops.stateBytes(geom_.ways);
-    });
-    validOffset_ = 2 * geom_.ways;
+    replOffset_ = 2 * geom_.ways;
+    // invalidWays() and fillMasked's allowed mask hold one bit per way.
+    if (geom_.ways > 64)
+        panic("cache array with %u ways: at most 64 are supported",
+              geom_.ways);
+    waysMask_ = ~std::uint64_t{0} >> (64 - geom_.ways);
     for (unsigned s = 0; s < geom_.totalSets(); ++s)
         resetSet(s);
 }
@@ -90,7 +92,6 @@ CacheArray::resetSet(unsigned set)
         meta[w] = static_cast<std::uint8_t>(CohState::Invalid);
         meta[geom_.ways + w] = 0;
     }
-    meta[validOffset_] = 0;
     withReplOps(kind_, [&](auto ops) {
         ops.reset(replStateIn(meta), geom_.ways);
     });

@@ -18,7 +18,7 @@
  *    set, padded to a multiple of kTagLane with a sentinel no
  *    line-aligned address can equal, so findWay is one branch-free
  *    vectorized equality scan (tag_scan.hh) with no validity test;
- *  - the *metadata plane*: the coherence/owner bytes, valid count and
+ *  - the *metadata plane*: the coherence/owner bytes and the
  *    replacement state, touched only on hits, fills and invalidates.
  *
  * The split is the classic AoS→SoA fix: a probe that misses — the
@@ -36,6 +36,7 @@
 #ifndef LLCF_CACHE_CACHE_ARRAY_HH
 #define LLCF_CACHE_CACHE_ARRAY_HH
 
+#include <bit>
 #include <cstring>
 #include <optional>
 #include <vector>
@@ -286,18 +287,14 @@ class CacheArray
         return withReplOps(kind_, [&](auto ops) {
             std::uint8_t *st = replStateIn(meta);
             FillResult res;
-            if (meta[validOffset_] < geom_.ways) {
-                // Fill an invalid way.
-                for (unsigned w = 0; w < geom_.ways; ++w) {
-                    if (static_cast<CohState>(meta[w]) ==
-                        CohState::Invalid) {
-                        writeLine(set, w, new_line);
-                        ++meta[validOffset_];
-                        res.way = w;
-                        ops.onFill(st, geom_.ways, w);
-                        return res;
-                    }
-                }
+            const std::uint64_t invalid = invalidWays(meta);
+            if (invalid != 0) {
+                const unsigned w =
+                    static_cast<unsigned>(std::countr_zero(invalid));
+                writeLine(set, w, new_line);
+                res.way = w;
+                ops.onFill(st, geom_.ways, w);
+                return res;
             }
 
             // All ways valid: evict the policy victim (fused
@@ -316,9 +313,9 @@ class CacheArray
      * fill() restricted to the set bits of @p allowed — the CAT-style
      * partitioned fill: the new line lands in an invalid allowed way
      * if one exists, otherwise in the policy's masked victim, so lines
-     * outside the mask are never displaced.  The set-wide valid count
-     * can sit below ways while every *allowed* way is full, so the
-     * invalid-way scan is mask-restricted rather than count-gated.
+     * outside the mask are never displaced.  A set can hold invalid
+     * ways while every *allowed* way is full, so the invalid-way scan
+     * is restricted to the mask.
      * @pre allowed selects at least one way below ways (checked).
      */
     FillResult
@@ -330,16 +327,14 @@ class CacheArray
         return withReplOps(kind_, [&](auto ops) {
             std::uint8_t *st = replStateIn(meta);
             FillResult res;
-            for (unsigned w = 0; w < geom_.ways; ++w) {
-                if (!(allowed >> w & 1))
-                    continue;
-                if (static_cast<CohState>(meta[w]) == CohState::Invalid) {
-                    writeLine(set, w, new_line);
-                    ++meta[validOffset_];
-                    res.way = w;
-                    ops.onFill(st, geom_.ways, w);
-                    return res;
-                }
+            const std::uint64_t invalid = invalidWays(meta) & allowed;
+            if (invalid != 0) {
+                const unsigned w =
+                    static_cast<unsigned>(std::countr_zero(invalid));
+                writeLine(set, w, new_line);
+                res.way = w;
+                ops.onFill(st, geom_.ways, w);
+                return res;
             }
 
             const unsigned vic =
@@ -361,10 +356,8 @@ class CacheArray
     invalidateWay(unsigned set, unsigned way)
     {
         std::uint8_t *meta = metaOf(set);
-        if (static_cast<CohState>(meta[way]) != CohState::Invalid) {
+        if (static_cast<CohState>(meta[way]) != CohState::Invalid)
             ++counters_.invalidations;
-            --meta[validOffset_];
-        }
         tagsOf(set)[way] = kInvalidTag;
         meta[way] = static_cast<std::uint8_t>(CohState::Invalid);
         meta[geom_.ways + way] = 0;
@@ -393,7 +386,8 @@ class CacheArray
     unsigned
     validCount(unsigned set) const
     {
-        return metaOf(set)[validOffset_];
+        return geom_.ways -
+               static_cast<unsigned>(std::popcount(invalidWays(metaOf(set))));
     }
 
     /** Invalidate every line and reset replacement state. */
@@ -424,10 +418,23 @@ class CacheArray
     //
     // Meta plane: per set, metaWordsFor() words holding
     //
-    //   [ coh: ways ][ owner: ways ][ valid: 1 ]
-    //   [ repl state: replBytesPerSet ]
+    //   [ coh: ways ][ owner: ways ][ repl state: stateBytes(ways) ]
+    //   [ tail to the word ]
     //
-    // accessed through char pointers (always aliasing-legal).  Probes
+    // accessed through char pointers (always aliasing-legal).  The hot
+    // kernels load and store whole 8-byte words of byte lanes at any
+    // alignment, and every word they touch lies inside the row:
+    //
+    //  - invalidWays() reads ceil(ways / 8) words from byte 0; lanes
+    //    past the coherence bytes are owner bytes, masked off;
+    //  - LruOps::onHit reads and writes ceil(ways / 8) words of age
+    //    lanes; LruOps::stateBytes() is that many whole words, and
+    //    the lanes past `ways` are written back unchanged.
+    //
+    // So a set's row changes only where its simulated state does, and
+    // snapshots and the repeat watch's rowEquals() stay exact.  No
+    // valid count is stored: validCount() counts the ways that
+    // invalidWays() does not flag.  Probes
     // that miss never touch this plane — that is the point of the
     // split: the arrays are multi-megabyte at Skylake scale, the
     // access pattern is random, and host cache misses, not
@@ -464,11 +471,32 @@ class CacheArray
             metaOffset_);
     }
 
+    /**
+     * Bit w set iff way w of the row is Invalid: its coherence byte is
+     * 0.  Scans the coherence bytes 8 lanes per word; the last word's
+     * upper lanes are owner bytes, which the mask to ways drops.
+     */
+    std::uint64_t
+    invalidWays(const std::uint8_t *meta) const
+    {
+        std::uint64_t invalid = 0;
+        for (unsigned b = 0; b < geom_.ways; b += 8) {
+            const std::uint64_t coh = loadLanes(meta + b);
+            // High bit of a lane set iff the lane is 0 (exact, no
+            // borrow: the low 7 bits are summed apart from bit 7).
+            const std::uint64_t zero =
+                ~(((coh & ~kLaneHigh) + ~kLaneHigh) | coh) & kLaneHigh;
+            // Gather the 8 lane flags into 8 adjacent bits.
+            invalid |= ((zero >> 7) * 0x0102040810204080ULL >> 56) << b;
+        }
+        return invalid & waysMask_;
+    }
+
     /** Replacement state inside a set's metadata row. */
     std::uint8_t *
     replStateIn(std::uint8_t *meta)
     {
-        return meta + validOffset_ + 1;
+        return meta + replOffset_;
     }
 
     void
@@ -488,8 +516,8 @@ class CacheArray
 
     CacheGeometry geom_;
     ReplKind kind_;
-    std::size_t replBytesPerSet_;
-    unsigned validOffset_;  //!< valid-count byte index within meta row
+    unsigned replOffset_;   //!< repl-state byte index within meta row
+    std::uint64_t waysMask_; //!< bits [0, ways) set
     unsigned paddedWays_;   //!< tag-row words (ways padded to kTagLane)
     std::size_t metaWords_; //!< meta-row 8-byte words
 

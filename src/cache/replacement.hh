@@ -22,8 +22,10 @@
 #ifndef LLCF_CACHE_REPLACEMENT_HH
 #define LLCF_CACHE_REPLACEMENT_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -57,15 +59,56 @@ inline constexpr ReplKind kAllReplKinds[] = {
 // domain's ways.  Preconditions: every allowed way is valid and the
 // mask selects at least one way below `ways`.
 
+// ------------------------------------------------ byte-lane word kernels
+//
+// Per-set metadata is a row of bytes, one per way.  The hot updates
+// treat it 8 lanes at a time: one unaligned 64-bit load, a few
+// branch-free lane operations, one store.  Lane i of a loaded word is
+// byte i of the row (little-endian hosts only).
+
+static_assert(std::endian::native == std::endian::little,
+              "byte-lane kernels map row byte i to word lane i");
+
+inline constexpr std::uint64_t kLaneLow = 0x0101010101010101ULL;
+inline constexpr std::uint64_t kLaneHigh = 0x8080808080808080ULL;
+
+/** The 8 bytes at @p p as one word of lanes (any alignment). */
+inline std::uint64_t
+loadLanes(const std::uint8_t *p)
+{
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    return w;
+}
+
+/** Store the lanes of @p w to the 8 bytes at @p p (any alignment). */
+inline void
+storeLanes(std::uint8_t *p, std::uint64_t w)
+{
+    std::memcpy(p, &w, sizeof w);
+}
+
+/** Lanes [0, n) of a word set to 0xff, the rest 0.  @pre 1 <= n */
+inline std::uint64_t
+laneMask(unsigned n)
+{
+    return ~std::uint64_t{0} >> (64 - 8 * std::min(n, 8u));
+}
+
 /** True LRU via per-way age counters (0 = MRU). */
 struct LruOps
 {
     static constexpr ReplKind kKind = ReplKind::LRU;
 
+    /**
+     * One age byte per way, rounded up to whole 8-byte words so the
+     * lane kernel's loads and stores stay inside the state.  The
+     * lanes past @p ways are never read as ages nor written.
+     */
     static std::size_t
     stateBytes(unsigned ways)
     {
-        return ways; // one age byte per way, 0 = MRU
+        return (ways + 7) / 8 * 8;
     }
 
     static void
@@ -75,13 +118,21 @@ struct LruOps
             st[w] = static_cast<std::uint8_t>(ways - 1 - w);
     }
 
+    /**
+     * Every age below the touched way's gains one, 8 ways per word;
+     * then the touched way becomes MRU.  Ages are a permutation of
+     * [0, ways) with ways < 128, so `(age | 0x80) - old` never
+     * borrows across a lane and its high bit is set iff age >= old.
+     */
     static void
     onHit(std::uint8_t *st, unsigned ways, unsigned way)
     {
-        const std::uint8_t old_age = st[way];
-        for (unsigned w = 0; w < ways; ++w) {
-            if (st[w] < old_age)
-                ++st[w];
+        const std::uint64_t old = st[way] * kLaneLow;
+        for (unsigned b = 0; b < ways; b += 8) {
+            const std::uint64_t age = loadLanes(st + b);
+            const std::uint64_t below =
+                ~((age | kLaneHigh) - old) & kLaneHigh & laneMask(ways - b);
+            storeLanes(st + b, age + (below >> 7));
         }
         st[way] = 0;
     }

@@ -61,9 +61,15 @@ Rng::nextPoisson(double lambda)
         return 0;
     if (lambda < 30.0) {
         // Knuth's product-of-uniforms method for small lambda.
+        double prod = nextDouble();
+        // Zero arrivals without exp(): exp(-l) - (1 - l) > l*l/3, which
+        // from l = 2^-20 up is far above the rounding of either side,
+        // so prod <= 1 - l implies the loop below would return 0 on this
+        // same draw.
+        if (lambda >= 0x1p-20 && prod <= 1.0 - lambda)
+            return 0;
         const double limit = std::exp(-lambda);
         std::uint64_t k = 0;
-        double prod = nextDouble();
         while (prod > limit) {
             ++k;
             prod *= nextDouble();

@@ -237,6 +237,70 @@ TEST(CacheArray, FillsInvalidWaysFirst)
     EXPECT_EQ(arr.validCount(0), 4u);
 }
 
+TEST(CacheArray, FillTakesTheLowestInvalidWay)
+{
+    // fill() and fillMasked() find an invalid way 8 coherence bytes
+    // per word; a per-way scan must pick the same way.  Every line is
+    // owned by core 0, so the owner bytes that share the last
+    // coherence word read 0, the value of an Invalid coherence byte.
+    for (unsigned ways : {2u, 4u, 5u, 8u, 11u, 12u, 16u, 20u}) {
+        for (ReplKind repl : kAllReplKinds) {
+            CacheArray arr(CacheGeometry{ways, 4, 1}, repl);
+            Rng rng(ways), fill_rng(ways + 100);
+            const unsigned set = 2;
+            const std::uint64_t all = (std::uint64_t{1} << ways) - 1;
+            for (unsigned step = 0; step < 600; ++step) {
+                // A third of the fills land on a full set.
+                const unsigned drops =
+                    rng.nextBelow(3) == 0
+                        ? 0
+                        : static_cast<unsigned>(rng.nextBelow(ways + 1));
+                for (unsigned i = 0; i < drops; ++i) {
+                    arr.invalidateWay(
+                        set, static_cast<unsigned>(rng.nextBelow(ways)));
+                }
+                const bool masked = step % 2;
+                std::uint64_t allowed = all;
+                if (masked) {
+                    do {
+                        allowed = rng.next() & all;
+                    } while (allowed == 0);
+                }
+                int expected = -1;
+                for (unsigned w = 0; w < ways; ++w) {
+                    if ((allowed >> w & 1) && !arr.line(set, w).valid()) {
+                        expected = static_cast<int>(w);
+                        break;
+                    }
+                }
+                const Addr addr =
+                    (std::uint64_t{step + 1} << 20) | (set << kLineBits);
+                const CacheLine line{addr, CohState::Exclusive, 0};
+                const FillResult fr =
+                    masked ? arr.fillMasked(set, line, fill_rng, allowed)
+                           : arr.fill(set, line, fill_rng);
+                ASSERT_LT(fr.way, ways)
+                    << ways << " ways, " << replKindName(repl)
+                    << ", step " << step;
+                if (expected >= 0) {
+                    EXPECT_FALSE(fr.evicted);
+                    EXPECT_EQ(fr.way, static_cast<unsigned>(expected))
+                        << ways << " ways, " << replKindName(repl)
+                        << ", step " << step;
+                } else {
+                    EXPECT_TRUE(fr.evicted);
+                    EXPECT_TRUE(allowed >> fr.way & 1);
+                }
+                EXPECT_EQ(arr.findWay(set, addr), fr.way);
+                unsigned valid = 0;
+                for (unsigned w = 0; w < ways; ++w)
+                    valid += arr.line(set, w).valid();
+                ASSERT_EQ(arr.validCount(set), valid);
+            }
+        }
+    }
+}
+
 TEST(CacheArray, LruEvictionOrderThroughFills)
 {
     CacheArray arr(CacheGeometry{2, 8, 1}, ReplKind::LRU);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iterator>
 #include <set>
@@ -124,6 +125,45 @@ TEST(Rng, PoissonMeanSmallAndLargeLambda)
             sum += static_cast<double>(rng.nextPoisson(lambda));
         EXPECT_NEAR(sum / n, lambda, lambda * 0.06 + 0.05)
             << "lambda=" << lambda;
+    }
+}
+
+/** Knuth's product-of-uniforms loop with no zero-arrival early-out. */
+std::uint64_t
+knuthPoisson(Rng &rng, double lambda)
+{
+    const double limit = std::exp(-lambda);
+    std::uint64_t k = 0;
+    double prod = rng.nextDouble();
+    while (prod > limit) {
+        ++k;
+        prod *= rng.nextDouble();
+    }
+    return k;
+}
+
+TEST(Rng, PoissonZeroEarlyOutMatchesKnuthLoop)
+{
+    // nextPoisson skips exp() when the first uniform already proves
+    // zero arrivals.  Over lambdas on both sides of its 2^-20 guard
+    // and of lambda = 1, each value and the stream after each draw
+    // must equal the unconditional loop's.
+    std::vector<double> lambdas{0x1p-20, std::nextafter(0x1p-20, 0.0),
+                                std::nextafter(0x1p-20, 1.0),
+                                std::nextafter(1.0, 0.0), 1.0,
+                                std::nextafter(1.0, 2.0), 29.9};
+    for (double e = -30.0; e < 4.9; e += 0.25)
+        lambdas.push_back(std::exp2(e) * 1.07);
+    for (std::uint64_t seed : {1u, 2u, 7u, 42u, 1234567u}) {
+        Rng rng(seed), ref(seed);
+        for (double lambda : lambdas) {
+            for (int i = 0; i < 400; ++i) {
+                ASSERT_EQ(rng.nextPoisson(lambda), knuthPoisson(ref, lambda))
+                    << "lambda=" << lambda << " seed=" << seed;
+                ASSERT_TRUE(rng == ref)
+                    << "lambda=" << lambda << " seed=" << seed;
+            }
+        }
     }
 }
 

@@ -20,7 +20,9 @@
 namespace llcf {
 namespace {
 
-const unsigned kWayCounts[] = {2, 4, 8, 11, 12, 16};
+// Every associativity a shipped config uses: the tiny SF's 5 ways and
+// the Ice Lake L2's 20 (three words of age lanes) included.
+const unsigned kWayCounts[] = {2, 4, 5, 8, 11, 12, 16, 20};
 
 std::vector<std::uint8_t>
 freshState(const ReplPolicy &p, unsigned ways)
@@ -61,6 +63,39 @@ TEST(LruPolicy, MatchesReferenceRecencyModel)
                 p.onFill(st.data(), ways, expected);
                 order.remove(expected);
                 order.push_front(expected);
+            }
+        }
+    }
+}
+
+TEST(LruPolicy, WordKernelMatchesPerWayLoopAndSparesPadding)
+{
+    // LruOps::onHit against the plain per-way loop it replaced.  The
+    // state's lanes past `ways` hold a pattern the kernel must leave
+    // as it found it: 0 is below every nonzero age, so an unmasked
+    // lane would be incremented.
+    LruPolicy p;
+    Rng rng(44);
+    for (unsigned ways : kWayCounts) {
+        for (std::uint8_t pad : {std::uint8_t{0}, std::uint8_t{0xa5}}) {
+            std::vector<std::uint8_t> st(p.stateBytes(ways), pad);
+            ASSERT_EQ(st.size() % 8, 0u) << ways << " ways";
+            p.reset(st.data(), ways);
+            std::vector<std::uint8_t> ref = st;
+            for (int step = 0; step < 2000; ++step) {
+                const unsigned way =
+                    static_cast<unsigned>(rng.nextBelow(ways));
+                const std::uint8_t old_age = ref[way];
+                for (unsigned w = 0; w < ways; ++w) {
+                    if (ref[w] < old_age)
+                        ++ref[w];
+                }
+                ref[way] = 0;
+                if (step % 2)
+                    p.onHit(st.data(), ways, way);
+                else
+                    p.onFill(st.data(), ways, way);
+                ASSERT_EQ(st, ref) << ways << " ways, step " << step;
             }
         }
     }
