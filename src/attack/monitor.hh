@@ -19,11 +19,13 @@
  * passes; the covert-channel experiment (Table 5) is the only caller
  * that reads them.
  *
- * On a silent machine most Parallel probes repeat the previous one
- * exactly (private-cache hits, nothing replayed, not detected), and
- * so do most of its prime passes.  The monitor asks the machine to
- * fast-forward those (Machine::skipRepeats) instead of simulating
- * each; the trace, clock and every counter come out as if they ran.
+ * On a silent machine most Parallel probes and prime passes repeat
+ * one the machine has already made (private-cache hits from the same
+ * rows, nothing replayed, not detected).  The machine replays those
+ * from a table of recorded transitions, and the monitor asks it to
+ * fast-forward whole cycles of them (Machine::skipRepeats) instead of
+ * running each; the trace, clock and every counter come out as if
+ * they were simulated.
  */
 
 #ifndef LLCF_ATTACK_MONITOR_HH

@@ -168,14 +168,13 @@ class CacheArray
                     metaWords_ * sizeof(std::uint64_t));
     }
 
-    /** True iff @p set's rows equal the image saveRow() wrote. */
-    bool
-    rowEquals(unsigned set, const std::uint64_t *img) const
+    /** Overwrite @p set's rows with the image saveRow() wrote. */
+    void
+    loadRow(unsigned set, const std::uint64_t *img)
     {
-        return std::memcmp(img, tagsOf(set), paddedWays_ * sizeof(Addr)) ==
-                   0 &&
-               std::memcmp(img + paddedWays_, metaOf(set),
-                           metaWords_ * sizeof(std::uint64_t)) == 0;
+        std::memcpy(tagsOf(set), img, paddedWays_ * sizeof(Addr));
+        std::memcpy(metaOf(set), img + paddedWays_,
+                    metaWords_ * sizeof(std::uint64_t));
     }
 
     /** Flat set id from slice and per-slice index. */
@@ -432,7 +431,7 @@ class CacheArray
     //    the lanes past `ways` are written back unchanged.
     //
     // So a set's row changes only where its simulated state does, and
-    // snapshots and the repeat watch's rowEquals() stay exact.  No
+    // snapshots and the repeat watch's row images stay exact.  No
     // valid count is stored: validCount() counts the ways that
     // invalidWays() does not flag.  Probes
     // that miss never touch this plane — that is the point of the

@@ -1061,11 +1061,6 @@ Machine::restore(const Snapshot &s)
     rekeyLinesMoved_ = s.rekeyLinesMoved;
     watchdog_ = s.watchdog;
     nextDefenseEvent_ = std::min(nextRekey_, watchdog_.nextProbeAt());
-    // The restored state did not come from the recorded runs.
-    for (RepeatWatch &w : repeats_) {
-        w.filled = 0;
-        w.period = 0;
-    }
 }
 
 } // namespace llcf

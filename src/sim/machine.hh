@@ -30,15 +30,17 @@
  * machine cheap while preserving per-set event ordering.
  *
  * On a silent machine (no noise, jitter, interrupts or defense) a
- * repeated overlapped batch that provably reproduces its previous runs
- * — private-cache hits only, nothing replayed, no draw, the private
- * rows back where they were — is fast-forwarded in O(1) by
- * skipRepeats (implemented in repeats.cc; DESIGN.md §14).
+ * watched overlapped batch remembers its clean runs — private-cache
+ * hits only, nothing replayed, no draw — as transitions between
+ * images of its private rows.  A run from recorded rows is replayed
+ * instead of simulated, and a cycle of them is fast-forwarded in O(1)
+ * by skipRepeats (implemented in repeats.cc; DESIGN.md §14).
  */
 
 #ifndef LLCF_SIM_MACHINE_HH
 #define LLCF_SIM_MACHINE_HH
 
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -218,21 +220,26 @@ class Machine
      *
      * It engages only on a silent machine (zero noise rate, jitter
      * and interrupt rate, no defense) for a single-chunk overlapped
-     * Load/Store batch without a helper core.  The last p runs of the
-     * batch (p <= kRepeatMaxPeriod) must have run back to back, ended
-     * at the current clock and had one duration, each served only
-     * from L1/L2 with no stream event replayed and no @c rng_ draw,
-     * and together brought the core's L1/L2 rows of the batch's sets
-     * back to the state before the first of them.  The next p runs
-     * then repeat them exactly, so @p n is a whole number of such
-     * cycles, and the rows end as they are now.  The repeats skipped
-     * all start strictly before @p until and before the next stream
-     * event due in any shared set the batch syncs, and number at
-     * most @p limit.
+     * Load/Store batch without a helper core, once this call has
+     * started watching the batch (one watched batch per op: Load and
+     * Store).  A watched batch records each clean run — served only
+     * from L1/L2, no stream event replayed, no @c rng_ draw — as a
+     * transition from the core's L1/L2 rows of the batch's sets to
+     * the rows it left; accessBatch replays a run from recorded rows
+     * instead of simulating it.  The skip chains transitions from the
+     * current rows back to the same rows (a cycle of p <=
+     * kRepeatMaxPeriod runs) and takes whole cycles only, so the rows
+     * end as they are now.  The caller may charge every skipped run
+     * the duration of the run that just ended: the skip engages only
+     * at the clock where the batch's last run ended and over a cycle
+     * whose runs all had that duration.  The repeats skipped all
+     * start strictly before @p until and before the next stream event
+     * due in any shared set the batch syncs, and number at most
+     * @p limit.
      *
      * A call that cannot skip returns 0; if @p pas is not the batch
-     * being watched it starts watching it, so its next runs are
-     * recorded (one watched batch per op: Load and Store).
+     * being watched it starts watching it (and drops the transitions
+     * of the batch watched before).
      */
     std::uint64_t skipRepeats(unsigned core, std::span<const Addr> pas,
                               const BatchSpec &spec, Cycles until,
@@ -442,33 +449,40 @@ class Machine
     static constexpr unsigned kRepeatMaxSets = 4;
 
     /**
-     * Longest cycle of runs a watch detects.  A batch longer than the
-     * L1's ways rotates its lines through the L1's ways, so its rows
-     * come back only every few runs (2 on Skylake-SP and the tiny
-     * config, 3 on Ice Lake-SP); the private hits repeat every run.
+     * Longest cycle of transitions skipRepeats chains.  A batch longer
+     * than the L1's ways rotates its lines through the L1's ways, so
+     * its rows come back only every few runs (2 on Skylake-SP and the
+     * tiny config, 3 on Ice Lake-SP); the private hits repeat every
+     * run.
      */
     static constexpr unsigned kRepeatMaxPeriod = 4;
 
-    /** What one watched run of a batch did. */
-    struct RepeatRun
+    /** Clean transitions one watch remembers (replaced oldest first). */
+    static constexpr unsigned kRepeatTable = 8;
+
+    /**
+     * What one clean run of a watched batch did: served from L1/L2
+     * only, no stream event replayed, no rng_ draw.  Such a run is a
+     * pure function of the core's L1/L2 rows of the batch's sets, so
+     * it is keyed by the rows it began from (DESIGN.md §14).
+     */
+    struct RepeatTransition
     {
-        Cycles start = 0; //!< clock when the run began
-        Cycles end = 0;   //!< clock when it ended
-        /** Only L1/L2 hits, no stream event replayed, no rng_ draw. */
-        bool clean = false;
+        Cycles duration = 0;
         std::uint64_t loads = 0, stores = 0, l1Hits = 0, l2Hits = 0;
         ArrayCounters l1, l2; //!< the core's L1/L2 counter deltas
     };
 
     /**
      * One watched overlapped batch (see skipRepeats): its identity,
-     * the sets it touches, and its last kRepeatMaxPeriod runs with
-     * the rows each started from.  Every buffer is sized once, on
-     * the machine's first watch; recording a run allocates nothing.
+     * the sets it touches, and a table of clean transitions, each a
+     * start image and an end image of the watched L1 rows then L2
+     * rows.  The buffers grow only when a watch is armed; recording,
+     * replaying and skipping allocate nothing.
      */
     struct RepeatWatch
     {
-        bool armed = false; //!< runs of lines[0, count) are recorded
+        bool armed = false; //!< runs of lines[0, count) are watched
         unsigned core = 0;
         std::size_t count = 0;
         std::vector<Addr> lines; //!< kBurstChunk entries
@@ -476,15 +490,43 @@ class Machine
         unsigned l2Sets[kRepeatMaxSets] = {};
         unsigned sharedSets[kRepeatMaxSets] = {};
         unsigned nL1 = 0, nL2 = 0, nShared = 0;
-        /** Per run slot: the watched L1 rows then L2 rows it began
-         *  from (kRepeatMaxPeriod images of imageWords each). */
-        std::vector<std::uint64_t> images;
-        std::size_t imageWords = 0;
-        RepeatRun runs[kRepeatMaxPeriod];
-        unsigned head = 0;   //!< slot of the latest run
-        unsigned filled = 0; //!< recorded runs, capped at the ring size
-        /** Length of the cycle of runs ending at head, 0 if none. */
-        unsigned period = 0;
+        std::size_t imageWords = 0; //!< words in one image of the rows
+        /** Image 0 is scratch for the current rows, then per table
+         *  entry e its start (1 + 2e) and end (2 + 2e) images. */
+        std::vector<std::uint64_t> rows;
+        RepeatTransition table[kRepeatTable];
+        unsigned size = 0; //!< valid table entries
+        unsigned next = 0; //!< entry the next clean run records into
+        Cycles lastEnd = kNeverCycles; //!< clock the last run ended at
+        Cycles lastDuration = 0;       //!< and that run's duration
+
+        std::uint64_t *image(unsigned i)
+        {
+            return rows.data() + i * imageWords;
+        }
+
+        const std::uint64_t *image(unsigned i) const
+        {
+            return rows.data() + i * imageWords;
+        }
+
+        /** True iff images @p a and @p b are equal. */
+        bool
+        same(const std::uint64_t *a, const std::uint64_t *b) const
+        {
+            return std::memcmp(a, b, imageWords * sizeof(*a)) == 0;
+        }
+
+        /** The table entry that starts from @p img, or -1. */
+        int
+        find(const std::uint64_t *img) const
+        {
+            for (unsigned e = 0; e < size; ++e) {
+                if (same(image(1 + 2 * e), img))
+                    return static_cast<int>(e);
+            }
+            return -1;
+        }
     };
 
     /** Watch @p pas with @p w (left unarmed when too wide to watch). */
@@ -495,13 +537,35 @@ class Machine
     RepeatWatch *watchOf(unsigned core, std::span<const Addr> pas,
                          BatchOp op);
 
-    /** Save @p w's watched L1/L2 rows into run slot @p slot's image. */
-    void saveWatchedRows(RepeatWatch &w, unsigned slot) const;
+    /** Save @p w's watched L1/L2 rows into @p out. */
+    void saveWatchedRows(const RepeatWatch &w, std::uint64_t *out) const;
 
-    /** True iff @p w's watched rows equal run slot @p slot's image. */
-    bool watchedRowsEqual(const RepeatWatch &w, unsigned slot) const;
+    /** Overwrite @p w's watched L1/L2 rows with the image @p img. */
+    void loadWatchedRows(const RepeatWatch &w, const std::uint64_t *img);
 
-    /** overlappedAccess plus the repeat check of @p w. */
+    /** First stream event pending in a shared set @p w syncs. */
+    Cycles nextWatchedEvent(const RepeatWatch &w) const;
+
+    /**
+     * Largest k <= @p k for which adding @p t's private hits k times
+     * in one step lands perf_.levelCycles on the bits k separate runs
+     * give (0 if none does).
+     */
+    std::uint64_t exactRepeats(const RepeatTransition &t,
+                               std::uint64_t k) const;
+
+    /**
+     * Advance everything but the rows and the clock as @p runs runs of
+     * @p w's batch would, whose transitions are @p k times those summed
+     * in @p t and the last of which starts at @p last_start: counters,
+     * the private-hit streak and the synced sets' lastSync_.
+     */
+    void replayRuns(const RepeatWatch &w, const RepeatTransition &t,
+                    std::uint64_t k, std::uint64_t runs,
+                    Cycles last_start);
+
+    /** overlappedAccess of @p w's batch, replayed from its table when
+     *  it holds the current rows, else simulated and recorded. */
     Cycles watchedAccess(RepeatWatch &w, std::span<const Addr> pas,
                          bool is_store);
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Machine::skipRepeats and the batch watch behind it: the exact
- * fast-forward of repeated overlapped batches on a silent machine
+ * Machine::skipRepeats and the batch watch behind it: a table of the
+ * clean transitions of a watched overlapped batch on a silent machine,
+ * replayed one run at a time or skipped a whole cycle at a time
  * (DESIGN.md §14).  A translation unit of its own: defined in
  * machine.cc, this code changed how GCC inlined the access path there
  * and slowed the Cloud-noise eviction-set build (perfbench
@@ -20,18 +21,13 @@ Machine::watchRepeats(RepeatWatch &w, unsigned core,
                       std::span<const Addr> pas)
 {
     w.armed = false;
-    w.filled = 0;
-    w.period = 0;
-    // One chunk, so a repeat syncs every set at its start time.
+    // The recorded transitions belong to the batch watched so far.
+    w.size = 0;
+    w.next = 0;
+    w.lastEnd = kNeverCycles;
+    // One chunk, so a run syncs every set at its start time.
     if (pas.empty() || pas.size() > kBurstChunk)
         return;
-    if (w.lines.empty()) {
-        // Sized once per machine, on its first watch.
-        w.lines.resize(kBurstChunk);
-        w.imageWords =
-            kRepeatMaxSets * (l1_[0].rowWords() + l2_[0].rowWords());
-        w.images.resize(kRepeatMaxPeriod * w.imageWords);
-    }
     const auto add = [](unsigned *sets, unsigned &n, unsigned s) {
         if (std::find(sets, sets + n, s) != sets + n)
             return true;
@@ -48,6 +44,13 @@ Machine::watchRepeats(RepeatWatch &w, unsigned core,
             !add(w.sharedSets, w.nShared, sharedSetOf(line)))
             return;
     }
+    w.imageWords =
+        w.nL1 * l1_[core].rowWords() + w.nL2 * l2_[core].rowWords();
+    const std::size_t words = (1 + 2 * kRepeatTable) * w.imageWords;
+    if (w.rows.size() < words)
+        w.rows.resize(words);
+    if (w.lines.empty())
+        w.lines.resize(kBurstChunk);
     std::copy(pas.begin(), pas.end(), w.lines.begin());
     w.count = pas.size();
     w.core = core;
@@ -65,9 +68,8 @@ Machine::watchOf(unsigned core, std::span<const Addr> pas, BatchOp op)
 }
 
 void
-Machine::saveWatchedRows(RepeatWatch &w, unsigned slot) const
+Machine::saveWatchedRows(const RepeatWatch &w, std::uint64_t *out) const
 {
-    std::uint64_t *out = w.images.data() + slot * w.imageWords;
     const CacheArray &l1 = l1_[w.core];
     const CacheArray &l2 = l2_[w.core];
     for (unsigned i = 0; i < w.nL1; ++i, out += l1.rowWords())
@@ -76,126 +78,42 @@ Machine::saveWatchedRows(RepeatWatch &w, unsigned slot) const
         l2.saveRow(w.l2Sets[i], out);
 }
 
-bool
-Machine::watchedRowsEqual(const RepeatWatch &w, unsigned slot) const
+void
+Machine::loadWatchedRows(const RepeatWatch &w, const std::uint64_t *img)
 {
-    const std::uint64_t *img = w.images.data() + slot * w.imageWords;
-    const CacheArray &l1 = l1_[w.core];
-    const CacheArray &l2 = l2_[w.core];
-    for (unsigned i = 0; i < w.nL1; ++i, img += l1.rowWords()) {
-        if (!l1.rowEquals(w.l1Sets[i], img))
-            return false;
-    }
-    for (unsigned i = 0; i < w.nL2; ++i, img += l2.rowWords()) {
-        if (!l2.rowEquals(w.l2Sets[i], img))
-            return false;
-    }
-    return true;
+    CacheArray &l1 = l1_[w.core];
+    CacheArray &l2 = l2_[w.core];
+    for (unsigned i = 0; i < w.nL1; ++i, img += l1.rowWords())
+        l1.loadRow(w.l1Sets[i], img);
+    for (unsigned i = 0; i < w.nL2; ++i, img += l2.rowWords())
+        l2.loadRow(w.l2Sets[i], img);
 }
 
 Cycles
-Machine::watchedAccess(RepeatWatch &w, std::span<const Addr> pas,
-                       bool is_store)
+Machine::nextWatchedEvent(const RepeatWatch &w) const
 {
-    constexpr unsigned kRing = kRepeatMaxPeriod;
-    const unsigned core = w.core;
-    const unsigned slot = (w.head + 1) % kRing;
-    saveWatchedRows(w, slot);
-    const Rng rng0 = rng_;
-    const MachineStats s0 = stats_;
-    const ArrayCounters l1c = l1_[core].counters();
-    const ArrayCounters l2c = l2_[core].counters();
-    RepeatRun &r = w.runs[slot];
-    r.start = clock_;
-    const Cycles d = overlappedAccess(core, pas, is_store, -1);
-    r.end = clock_;
-    r.loads = stats_.loads - s0.loads;
-    r.stores = stats_.stores - s0.stores;
-    r.l1Hits = stats_.l1Hits - s0.l1Hits;
-    r.l2Hits = stats_.l2Hits - s0.l2Hits;
-    r.l1 = l1_[core].counters().since(l1c);
-    r.l2 = l2_[core].counters().since(l2c);
-    // Only private hits (so nothing shared was touched), no stream
-    // event replayed, no draw.
-    r.clean = r.l1Hits + r.l2Hits == pas.size() &&
-              stats_.streamAccesses == s0.streamAccesses && rng_ == rng0;
-    w.head = slot;
-    w.filled = std::min(w.filled + 1, kRing);
-
-    // The shortest cycle ending here: back-to-back clean runs of this
-    // duration whose first one began from the rows there are now.
-    w.period = 0;
-    for (unsigned p = 1; r.clean && p <= w.filled; ++p) {
-        const unsigned first = (slot + kRing + 1 - p) % kRing;
-        const RepeatRun &f = w.runs[first];
-        if (!f.clean || f.end - f.start != d ||
-            (p > 1 && f.end != w.runs[(first + 1) % kRing].start))
-            break;
-        if (watchedRowsEqual(w, first)) {
-            w.period = p;
-            break;
+    // A sync at time t replays every event stamped <= t.
+    Cycles next = kNeverCycles;
+    if (quiescent_)
+        return next;
+    for (unsigned i = 0; i < w.nShared; ++i) {
+        for (const std::size_t idx : setStreams_[w.sharedSets[i]]) {
+            const Stream &st = streams_[idx];
+            if (st.cursor < st.times.size())
+                next = std::min(next, st.times[st.cursor]);
         }
     }
-    return d;
+    return next;
 }
 
 std::uint64_t
-Machine::skipRepeats(unsigned core, std::span<const Addr> pas,
-                     const BatchSpec &spec, Cycles until,
-                     std::uint64_t limit)
+Machine::exactRepeats(const RepeatTransition &t, std::uint64_t k) const
 {
-    constexpr unsigned kRing = kRepeatMaxPeriod;
-    if (!silent_ || limit == 0 || !spec.overlapped || spec.helper >= 0 ||
-        (spec.op != BatchOp::Load && spec.op != BatchOp::Store))
-        return 0;
-    RepeatWatch *w = watchOf(core, pas, spec.op);
-    if (!w) {
-        watchRepeats(repeats_[spec.op == BatchOp::Store], core, pas);
-        return 0;
-    }
-    const unsigned p = w->period;
-    const unsigned first = (w->head + kRing + 1 - p) % kRing;
-    if (p == 0 || clock_ != w->runs[w->head].end ||
-        !watchedRowsEqual(*w, first))
-        return 0;
-
-    // Whole repeats only, each starting strictly before `until` and
-    // before the next stream event due in a set the batch syncs (a
-    // sync at time t replays every event stamped <= t).
-    Cycles stop = until;
-    if (!quiescent_) {
-        for (unsigned i = 0; i < w->nShared; ++i) {
-            for (const std::size_t idx : setStreams_[w->sharedSets[i]]) {
-                const Stream &st = streams_[idx];
-                if (st.cursor < st.times.size())
-                    stop = std::min(stop, st.times[st.cursor]);
-            }
-        }
-    }
-    if (clock_ >= stop)
-        return 0;
-    const Cycles d = w->runs[w->head].end - w->runs[w->head].start;
-    // Whole cycles of p runs, so the rows end as they are now.
-    std::uint64_t cycles = std::min((stop - 1 - clock_) / d + 1, limit) / p;
-    cycles = std::min(cycles, (kNeverCycles - clock_) / (d * p));
-
-    RepeatRun sum;
-    for (unsigned i = 0; i < p; ++i) {
-        const RepeatRun &r = w->runs[(first + i) % kRing];
-        sum.loads += r.loads;
-        sum.stores += r.stores;
-        sum.l1Hits += r.l1Hits;
-        sum.l2Hits += r.l2Hits;
-        sum.l1 += r.l1;
-        sum.l2 += r.l2;
-    }
-
     // perf_.levelCycles is a double: one bulk addition must land on
     // the bits the separate per-access additions give, which holds
     // while the latency and every partial sum are integers below 2^53.
     constexpr double kExact = 0x1p53;
-    const std::uint64_t hits[2] = {sum.l1Hits, sum.l2Hits};
-    std::uint64_t lat[2] = {};
+    const std::uint64_t hits[2] = {t.l1Hits, t.l2Hits};
     for (unsigned i = 0; i < 2; ++i) {
         if (hits[i] == 0)
             continue;
@@ -204,42 +122,156 @@ Machine::skipRepeats(unsigned core, std::span<const Addr> pas,
         if (l != std::floor(l) || l < 0.0 || l >= kExact ||
             acc != std::floor(acc) || acc >= kExact)
             return 0;
-        lat[i] = static_cast<std::uint64_t>(l);
-        if (lat[i] > 0) {
+        const auto lat = static_cast<std::uint64_t>(l);
+        if (lat > 0) {
             const auto room = static_cast<std::uint64_t>(kExact - acc);
-            cycles = std::min(cycles, room / (hits[i] * lat[i]));
+            k = std::min(k, room / (hits[i] * lat));
         }
     }
+    return k;
+}
+
+void
+Machine::replayRuns(const RepeatWatch &w, const RepeatTransition &t,
+                    std::uint64_t k, std::uint64_t runs, Cycles last_start)
+{
+    stats_.loads += k * t.loads;
+    stats_.stores += k * t.stores;
+    stats_.l1Hits += k * t.l1Hits;
+    stats_.l2Hits += k * t.l2Hits;
+    const std::uint64_t hits[2] = {t.l1Hits, t.l2Hits};
+    for (unsigned i = 0; i < 2; ++i) {
+        if (hits[i] == 0)
+            continue;
+        const double lat = effLatency(static_cast<HitLevel>(i));
+        perf_.levelAccesses[i] += k * hits[i];
+        perf_.levelCycles[i] += static_cast<double>(
+            k * hits[i] * static_cast<std::uint64_t>(lat));
+    }
+    l1_[w.core].addCounters(t.l1.times(k));
+    l2_[w.core].addCounters(t.l2.times(k));
+    // Every access of a clean run is a private hit.
+    privateHitStreak_ += static_cast<unsigned>(runs * w.count);
+    if (!quiescent_) {
+        for (unsigned i = 0; i < w.nShared; ++i) {
+            Cycles &s = lastSync_[w.sharedSets[i]];
+            s = std::max(s, last_start);
+        }
+    }
+}
+
+Cycles
+Machine::watchedAccess(RepeatWatch &w, std::span<const Addr> pas,
+                       bool is_store)
+{
+    const unsigned core = w.core;
+    std::uint64_t *now_rows = w.image(0);
+    saveWatchedRows(w, now_rows);
+    const Cycles start = clock_;
+
+    // A run from recorded rows with no event due at its start repeats
+    // the recorded one.
+    const int e = w.find(now_rows);
+    if (e >= 0 && nextWatchedEvent(w) > start &&
+        exactRepeats(w.table[e], 1) == 1) {
+        const RepeatTransition &t = w.table[e];
+        loadWatchedRows(w, w.image(2 + 2 * e));
+        replayRuns(w, t, 1, 1, start);
+        clock_ += t.duration;
+        w.lastEnd = clock_;
+        w.lastDuration = t.duration;
+        return t.duration;
+    }
+
+    const Rng rng0 = rng_;
+    const MachineStats s0 = stats_;
+    const ArrayCounters l1c = l1_[core].counters();
+    const ArrayCounters l2c = l2_[core].counters();
+    const Cycles d = overlappedAccess(core, pas, is_store, -1);
+    w.lastEnd = clock_;
+    w.lastDuration = d;
+    // Only private hits (so nothing shared was touched), no stream
+    // event replayed, no draw.
+    const std::uint64_t l1_hits = stats_.l1Hits - s0.l1Hits;
+    const std::uint64_t l2_hits = stats_.l2Hits - s0.l2Hits;
+    if (l1_hits + l2_hits != pas.size() ||
+        stats_.streamAccesses != s0.streamAccesses || !(rng_ == rng0))
+        return d;
+
+    const unsigned slot = w.next;
+    w.next = (slot + 1) % kRepeatTable;
+    w.size = std::min(w.size + 1, kRepeatTable);
+    std::copy(now_rows, now_rows + w.imageWords, w.image(1 + 2 * slot));
+    saveWatchedRows(w, w.image(2 + 2 * slot));
+    RepeatTransition &t = w.table[slot];
+    t.duration = d;
+    t.loads = stats_.loads - s0.loads;
+    t.stores = stats_.stores - s0.stores;
+    t.l1Hits = l1_hits;
+    t.l2Hits = l2_hits;
+    t.l1 = l1_[core].counters().since(l1c);
+    t.l2 = l2_[core].counters().since(l2c);
+    return d;
+}
+
+std::uint64_t
+Machine::skipRepeats(unsigned core, std::span<const Addr> pas,
+                     const BatchSpec &spec, Cycles until,
+                     std::uint64_t limit)
+{
+    if (!silent_ || limit == 0 || !spec.overlapped || spec.helper >= 0 ||
+        (spec.op != BatchOp::Load && spec.op != BatchOp::Store))
+        return 0;
+    RepeatWatch *w = watchOf(core, pas, spec.op);
+    if (!w) {
+        watchRepeats(repeats_[spec.op == BatchOp::Store], core, pas);
+        return 0;
+    }
+    // The caller charges every skipped run the duration of the run
+    // that just ended here.
+    const Cycles d = w->lastDuration;
+    if (clock_ != w->lastEnd)
+        return 0;
+
+    // Whole repeats only, each starting strictly before `until` and
+    // before the next stream event due in a set the batch syncs.
+    const Cycles stop = std::min(until, nextWatchedEvent(*w));
+    if (clock_ >= stop)
+        return 0;
+
+    // The cycle of p transitions from the rows there are now back to
+    // them, every one of duration d.
+    std::uint64_t *now_rows = w->image(0);
+    saveWatchedRows(*w, now_rows);
+    RepeatTransition sum;
+    unsigned p = 0;
+    const std::uint64_t *rows = now_rows;
+    do {
+        const int e = p < kRepeatMaxPeriod ? w->find(rows) : -1;
+        if (e < 0 || w->table[e].duration != d)
+            return 0;
+        const RepeatTransition &t = w->table[e];
+        sum.loads += t.loads;
+        sum.stores += t.stores;
+        sum.l1Hits += t.l1Hits;
+        sum.l2Hits += t.l2Hits;
+        sum.l1 += t.l1;
+        sum.l2 += t.l2;
+        rows = w->image(2 + 2 * e);
+        ++p;
+    } while (!w->same(rows, now_rows));
+
+    // Whole cycles, so the rows end as they are now.
+    std::uint64_t cycles = std::min((stop - 1 - clock_) / d + 1, limit) / p;
+    cycles = std::min(cycles, (kNeverCycles - clock_) / (d * p));
+    cycles = exactRepeats(sum, cycles);
     if (cycles == 0)
         return 0;
 
     const std::uint64_t n = cycles * p;
-    const Cycles last_start = clock_ + (n - 1) * d;
+    replayRuns(*w, sum, cycles, n, clock_ + (n - 1) * d);
     clock_ += n * d;
-    stats_.loads += cycles * sum.loads;
-    stats_.stores += cycles * sum.stores;
-    stats_.l1Hits += cycles * sum.l1Hits;
-    stats_.l2Hits += cycles * sum.l2Hits;
-    for (unsigned i = 0; i < 2; ++i) {
-        perf_.levelAccesses[i] += cycles * hits[i];
-        perf_.levelCycles[i] +=
-            static_cast<double>(cycles * hits[i] * lat[i]);
-    }
-    l1_[core].addCounters(sum.l1.times(cycles));
-    l2_[core].addCounters(sum.l2.times(cycles));
-    privateHitStreak_ += static_cast<unsigned>(n * w->count);
-    if (!quiescent_) {
-        for (unsigned i = 0; i < w->nShared; ++i) {
-            Cycles &t = lastSync_[w->sharedSets[i]];
-            t = std::max(t, last_start);
-        }
-    }
-    // The recorded cycle now stands for its last repeat.
-    for (unsigned i = 0; i < p; ++i) {
-        RepeatRun &r = w->runs[(first + i) % kRing];
-        r.start += n * d;
-        r.end += n * d;
-    }
+    w->lastEnd = clock_;
     return n;
 }
 

@@ -435,17 +435,18 @@ expectSameState(const Machine &a, const Machine &b)
 
 /**
  * @p n + 1 lines congruent in one shared set, drawn through the same
- * calls on every machine of one seed (so twins get the same frames):
- * the first @p n form the batch, the last is a victim line.
+ * calls on every machine of one seed (so twins get the same frames)
+ * from a pool of @p pages pages: the first @p n form the batch, the
+ * last is a victim line.
  */
 std::vector<Addr>
-congruentLines(Machine &m, unsigned n)
+congruentLines(Machine &m, unsigned n, unsigned pages = 512)
 {
     auto space = m.newAddressSpace();
-    const Addr pool = space->mmapAnon(512 * kPageBytes);
+    const Addr pool = space->mmapAnon(pages * kPageBytes);
     std::vector<Addr> lines;
     unsigned target = 0;
-    for (unsigned p = 0; p < 512 && lines.size() <= n; ++p) {
+    for (unsigned p = 0; p < pages && lines.size() <= n; ++p) {
         const Addr a = space->translate(pool + p * kPageBytes);
         if (lines.empty())
             target = m.sharedSetOf(a);
@@ -479,22 +480,33 @@ runSkipping(Machine &m, std::span<const Addr> batch,
 
 TEST(MachineRepeats, SkippedRepeatsMatchSimulatedOnes)
 {
-    // Two lines stay in the 2-way L1 (rows repeat every run); an
-    // SF set's worth rotate through its ways (every second run).  A
-    // registered stream whose event never comes due makes every run
-    // sync its set, so lastSync moves too.  39 runs end on a skip in
-    // both cases.
-    for (const unsigned width : {2u, tinyTest().sf.ways}) {
+    // Two lines stay in the tiny config's 2-way L1 (rows repeat every
+    // run); an SF set's worth rotate through the L1's ways, so the
+    // rows come back every second run on the tiny config and on
+    // Skylake-SP (5 and 12 lines) and every third on Ice Lake-SP (16
+    // lines).  A registered stream whose event never comes due makes
+    // every run sync its set, so lastSync moves too.
+    struct Host
+    {
+        MachineConfig cfg;
+        unsigned width;
+        unsigned pages; //!< pool that holds width + 1 congruent lines
+    };
+    const Host hosts[] = {{tinyTest(), 2, 512},
+                          {tinyTest(), tinyTest().sf.ways, 512},
+                          {skylakeSp(), skylakeSp().sf.ways, 1u << 15},
+                          {iceLakeSp(), iceLakeSp().sf.ways, 1u << 15}};
+    for (const Host &h : hosts) {
         for (const BatchSpec &spec : {kProbeSpec, kPrimeSpec}) {
             for (const bool synced : {false, true}) {
                 SCOPED_TRACE(::testing::Message()
-                             << "width " << width << " op "
-                             << static_cast<int>(spec.op) << " synced "
-                             << synced);
-                Machine loop(tinyTest(), silent(), 23);
-                Machine skip(tinyTest(), silent(), 23);
-                auto lines = congruentLines(loop, width);
-                ASSERT_EQ(lines, congruentLines(skip, width));
+                             << h.cfg.name << " width " << h.width
+                             << " op " << static_cast<int>(spec.op)
+                             << " synced " << synced);
+                Machine loop(h.cfg, silent(), 23);
+                Machine skip(h.cfg, silent(), 23);
+                auto lines = congruentLines(loop, h.width, h.pages);
+                ASSERT_EQ(lines, congruentLines(skip, h.width, h.pages));
                 const Addr victim = lines.back();
                 lines.pop_back();
                 if (synced) {
@@ -507,6 +519,140 @@ TEST(MachineRepeats, SkippedRepeatsMatchSimulatedOnes)
                 expectSameState(loop, skip);
             }
         }
+    }
+}
+
+TEST(MachineRepeats, TransitionsReplayAcrossGapsAndRestore)
+{
+    // Rounds of the Parallel monitor's cycle: a 12-pass prime, probes
+    // up to a due victim access, then an idle gap and an unrelated
+    // sequential batch.  One twin fast-forwards after every batch,
+    // the other never arms a watch.  A restore keeps the recorded
+    // transitions, so the restored rounds replay from them, as every
+    // forked victim does.
+    Machine loop(tinyTest(), silent(), 37);
+    Machine skip(tinyTest(), silent(), 37);
+    auto lines = congruentLines(loop, tinyTest().sf.ways);
+    ASSERT_EQ(lines, congruentLines(skip, tinyTest().sf.ways));
+    const Addr victim = lines.back();
+    lines.pop_back();
+    const std::vector<Addr> other = {lines[0] + kLineBytes,
+                                     lines[1] + 3 * kLineBytes};
+    const BatchSpec sequential{BatchOp::Load};
+
+    // Returns the passes the prime skipped and the probes skipped.
+    const auto round = [&](Machine &m, bool skipping) {
+        std::uint64_t skipped = 0;
+        const auto run = [&](const BatchSpec &spec, std::uint64_t limit) {
+            m.accessBatch(0, lines, spec);
+            const std::uint64_t n =
+                skipping ? m.skipRepeats(0, lines, spec, kNeverCycles, limit)
+                         : 0;
+            skipped += n;
+            return 1 + n;
+        };
+        for (std::uint64_t pass = 0; pass < 12;)
+            pass += run(kPrimeSpec, 11 - pass);
+        const std::uint64_t prime_skipped = skipped;
+        const Cycles event = m.now() + 5000;
+        m.addStream(2, victim, {event});
+        const std::uint64_t replayed = m.stats().streamAccesses;
+        while (m.stats().streamAccesses == replayed && m.now() < 2 * event)
+            run(kProbeSpec, ~std::uint64_t{0});
+        EXPECT_EQ(m.stats().streamAccesses, replayed + 1);
+        m.idle(777);
+        m.accessBatch(0, other, sequential);
+        if (skipping) {
+            EXPECT_EQ(m.skipRepeats(0, other, sequential, kNeverCycles),
+                      0u);
+        }
+        return std::pair{prime_skipped, skipped - prime_skipped};
+    };
+
+    const Machine::Snapshot loop0 = loop.snapshot();
+    const Machine::Snapshot skip0 = skip.snapshot();
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> skipped[2];
+    for (int sweep = 0; sweep < 2; ++sweep) {
+        if (sweep == 1) {
+            loop.restore(loop0);
+            skip.restore(skip0);
+            expectSameState(loop, skip);
+        }
+        for (int r = 0; r < 3; ++r) {
+            SCOPED_TRACE(::testing::Message()
+                         << "sweep " << sweep << " round " << r);
+            round(loop, false);
+            skipped[sweep].push_back(round(skip, true));
+            expectSameState(loop, skip);
+        }
+    }
+    // With the transitions kept, every restored prime skips all it
+    // can from its second pass on (its first refills the evicted
+    // line), and no restored round skips less than its first run.
+    for (int r = 0; r < 3; ++r) {
+        SCOPED_TRACE(::testing::Message() << "round " << r);
+        EXPECT_EQ(skipped[1][r].first, 10u);
+        EXPECT_GE(skipped[1][r].second, skipped[0][r].second);
+    }
+    EXPECT_LT(skipped[0][0].first, 10u);
+}
+
+TEST(MachineRepeats, SkipsOnlyRepeatsOfTheRunJustEnded)
+{
+    // The Parallel monitor charges every skipped run the duration of
+    // the run that just ended, so a skip must cover only cycles of
+    // that duration.  A probe after a clflush misses once and leaves
+    // the rows a clean cycle runs through, at a longer duration.
+    Machine loop(tinyTest(), silent(), 41);
+    Machine skip(tinyTest(), silent(), 41);
+    auto lines = congruentLines(loop, 2);
+    ASSERT_EQ(lines, congruentLines(skip, 2));
+    lines.pop_back();
+    for (Machine *m : {&loop, &skip})
+        m->accessBatch(0, lines, kProbeSpec);
+    EXPECT_GT(runSkipping(skip, lines, kProbeSpec, 20), 15u);
+    for (int i = 0; i < 20; ++i)
+        loop.accessBatch(0, lines, kProbeSpec);
+    expectSameState(loop, skip);
+
+    for (Machine *m : {&loop, &skip})
+        m->clflush(0, lines[0]);
+    const Cycles missed = loop.accessBatch(0, lines, kProbeSpec);
+    EXPECT_EQ(skip.accessBatch(0, lines, kProbeSpec), missed);
+    const Cycles hit = loop.accessBatch(0, lines, kProbeSpec);
+    ASSERT_GT(missed, hit);
+    EXPECT_EQ(skip.skipRepeats(0, lines, kProbeSpec, kNeverCycles), 0u);
+    EXPECT_EQ(skip.accessBatch(0, lines, kProbeSpec), hit);
+    expectSameState(loop, skip);
+    EXPECT_GT(skip.skipRepeats(0, lines, kProbeSpec, kNeverCycles, 5), 0u);
+
+    // The monitor's prime after a flush: its first pass misses, the
+    // rest hit, and the latency it reports is what 12 simulated passes
+    // sum to.
+    Machine loop2(tinyTest(), silent(), 43);
+    Machine skip2(tinyTest(), silent(), 43);
+    auto set = congruentLines(loop2, tinyTest().sf.ways);
+    ASSERT_EQ(set, congruentLines(skip2, tinyTest().sf.ways));
+    set.pop_back();
+    const auto prime = [&](Machine &m, bool skipping) {
+        Cycles total = 0;
+        for (std::uint64_t pass = 0; pass < 12; ++pass) {
+            const Cycles d = m.accessBatch(0, set, kPrimeSpec);
+            const std::uint64_t n =
+                skipping ? m.skipRepeats(0, set, kPrimeSpec, kNeverCycles,
+                                         11 - pass)
+                         : 0;
+            total += d * (1 + n);
+            pass += n;
+        }
+        return total;
+    };
+    for (int round = 0; round < 3; ++round) {
+        SCOPED_TRACE(::testing::Message() << "round " << round);
+        for (Machine *m : {&loop2, &skip2})
+            m->clflush(0, set[round]);
+        EXPECT_EQ(prime(skip2, true), prime(loop2, false));
+        expectSameState(loop2, skip2);
     }
 }
 
